@@ -259,11 +259,7 @@ def _pad(f: Formula, column_pad):
 def pad_formula(f: Formula) -> PaddedFormula:
     """Pad an OSL formula so every subformula order is a power of 2; the
     value survives as the leading block of the padded value."""
-    report = check_osl(f)
-    if not report.is_osl:
-        raise ValidationError(
-            f"formula is not OSL (offending paths: {list(report.offending_paths)})"
-        )
+    check_osl(f).raise_unless_osl()
     padded, true_rows, _ = _pad(f, _default_column_pad)
     return PaddedFormula(original=f, padded=padded, block_length=true_rows)
 
@@ -360,11 +356,7 @@ def pad_formula_with_denominators(f: Formula, k: int):
         raise ValidationError(
             "denominator scaling is defined over the real rational tags"
         )
-    report = check_osl(f)
-    if not report.is_osl:
-        raise ValidationError(
-            f"formula is not OSL (offending paths: {list(report.offending_paths)})"
-        )
+    check_osl(f).raise_unless_osl()
 
     deltas = []
 

@@ -6,7 +6,9 @@ a formula file into an array file.  All output is exact rational text,
 so identical inputs and flags produce byte-identical output.
 
 Exit codes: 0 success (or SFT accept), 1 SFT reject, 2 usage error,
-3 parse or validation error, 4 entry cap exceeded.
+3 parse or validation error, 4 entry cap exceeded, 5 internal error (any
+other failure, for example a formula nested too deeply to process), so
+that a crash never reads as a verdict.
 """
 
 from __future__ import annotations
@@ -229,6 +231,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        detail = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"error: internal error: {detail}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -20,15 +20,23 @@ one space between entries.  In strict mode malformed or invalid text is
 an error with an offset; in paper mode it denotes the trivial 1x1 zero
 formula.
 
-Evaluation is post-order, left child first.  Every node's output,
-including atoms, is checked against an entry cap before it is built;
-diameters can grow doubly exponentially with depth, and the cap turns
-that into a clean, deterministically attributed error.
+Evaluation is post-order, left child first.  Every node's order,
+including atoms', is checked against an entry cap before any work on that
+node; diameters can grow doubly exponentially with depth, and the cap
+turns that into a clean, deterministically attributed error.  A
+column-valued formula (order r x 1, r > 1) is evaluated by applying its
+factors to the vector: a product feeds its right factor's column to its
+left factor, a Kronecker product acts block by block, and only subtrees
+whose atoms are all permutations are multiplied out (into a compact
+permutation).  The cap still bounds every subformula's order, including
+the operators that are never built.  Any other formula is multiplied out
+node by node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator, Sequence, Union
 
 from .errors import CapExceededError, ParseError, TagMismatchError, ValidationError
@@ -41,7 +49,15 @@ from .linalg import (
     mat_mul,
     zero_matrix,
 )
-from .semiring import Scalar, Tag, parse_scalar, render_scalar
+from .semiring import (
+    Scalar,
+    Tag,
+    parse_scalar,
+    render_scalar,
+    scalar_add,
+    scalar_mul,
+    scalar_zero,
+)
 
 __all__ = [
     "Atom",
@@ -357,6 +373,13 @@ class OslReport:
     def is_osl(self) -> bool:
         return self.is_sum_free and self.inputs_ok and self.output_is_column
 
+    def raise_unless_osl(self) -> None:
+        """Raise ValidationError naming the offending paths unless OSL."""
+        if not self.is_osl:
+            raise ValidationError(
+                f"formula is not OSL (offending paths: {list(self.offending_paths)})"
+            )
+
 
 def _osl_atom_ok(m: Matrix) -> bool:
     if m.rows == m.cols:
@@ -410,15 +433,158 @@ def _eval(f: Formula, cap: int, path: str) -> Matrix:
     return kronecker(left, right)
 
 
+# Column-valued formulas are evaluated vector first.  One post-order walk
+# checks every node's order against the cap and gives each node a plan:
+#
+#   - a Matrix, multiplied out as _eval would, for a non-column subtree
+#     whose atoms are all permutations (a compact permutation unless the
+#     subtree holds a Sum);
+#   - a sparse column {row: nonzero Scalar}, for a column-valued node;
+#   - a function from sparse column to sparse column, for any other
+#     non-column subtree: that operator is applied, never built.
+#
+# A product with a column on its right applies its left plan to that
+# column, and a deferred Kronecker product is applied block by block.
+# Binary nodes' plans are kept by node identity, so a subtree the
+# compilers share is planned once per call.
+
+
+def _mat_vec(m: Matrix, x: dict) -> dict:
+    perm = m.perm_or_none()
+    if perm is not None:
+        return {perm[j]: v for j, v in x.items()}
+    e, cols = m.entries, m.cols
+    out: dict = {}
+    for j, v in x.items():
+        for i in range(m.rows):
+            a = e[i * cols + j]
+            if a.is_zero():
+                continue
+            t = scalar_mul(a, v)
+            out[i] = scalar_add(out[i], t) if i in out else t
+    return out
+
+
+def _vec_add(x: dict, y: dict) -> dict:
+    out = dict(x)
+    for i, v in y.items():
+        out[i] = scalar_add(out[i], v) if i in out else v
+    return out
+
+
+def _scale_column(c: dict, x: dict) -> dict:
+    """The column c as a one-column operator applied to the 1-vector x."""
+    if 0 not in x:
+        return {}
+    s = x[0]
+    return {i: scalar_mul(a, s) for i, a in c.items()}
+
+
+def _apply_tensor(left, right, right_order, x: dict) -> dict:
+    """(L # R) x without forming L # R: R acts on each of x's blocks (one
+    per column of L), then L on each strided column of the results."""
+    rows, cols = right_order
+    blocks: dict = {}
+    for k, v in x.items():
+        i, j = divmod(k, cols)
+        blocks.setdefault(i, {})[j] = v
+    strided: dict = {}
+    for i, block in blocks.items():
+        for j, v in right(block).items():
+            strided.setdefault(j, {})[i] = v
+    out = {}
+    for j, column in strided.items():
+        for p, v in left(column).items():
+            out[p * rows + j] = v
+    return out
+
+
+def _as_operator(plan):
+    if isinstance(plan, Matrix):
+        return partial(_mat_vec, plan)
+    if isinstance(plan, dict):
+        return partial(_scale_column, plan)
+    return plan
+
+
+def _atom_plan(m: Matrix):
+    if m.cols == 1:
+        return {i: s for i, s in enumerate(m.entries) if not s.is_zero()}
+    if m.perm_or_none() is not None:
+        return m
+    return partial(_mat_vec, m)
+
+
+def _deferred_plan(f: _Binary, left, right):
+    kind = type(f)
+    if f.order[1] == 1:
+        if kind is Prod:
+            return _as_operator(left)(right)
+        if kind is Tensor:
+            rows = f.right.order[0]
+            return {
+                i * rows + j: scalar_mul(a, b)
+                for i, a in left.items()
+                for j, b in right.items()
+            }
+        return _vec_add(left, right)
+    lop, rop = _as_operator(left), _as_operator(right)
+    if kind is Prod:
+        return lambda x: lop(rop(x))
+    if kind is Tensor:
+        return partial(_apply_tensor, lop, rop, f.right.order)
+    return lambda x: _vec_add(lop(x), rop(x))
+
+
+def _plan(f: Formula, cap: int, path: str, plans: dict):
+    if type(f) is Atom:
+        m = f.matrix
+        if m.rows * m.cols > cap:
+            raise CapExceededError(path, m.rows, m.cols, cap)
+        return _atom_plan(m)
+    key = id(f)
+    plan = plans.get(key)
+    if plan is not None:
+        return plan
+    left = _plan(f.left, cap, path + "/L", plans)
+    right = _plan(f.right, cap, path + "/R", plans)
+    rows, cols = f.order
+    if rows * cols > cap:
+        raise CapExceededError(path, rows, cols, cap)
+    if type(left) is Matrix and type(right) is Matrix:
+        kind = type(f)
+        if kind is Prod:
+            plan = mat_mul(left, right)
+        elif kind is Tensor:
+            plan = kronecker(left, right)
+        else:
+            plan = mat_add(left, right)
+    else:
+        plan = _deferred_plan(f, left, right)
+    plans[key] = plan
+    return plan
+
+
+def _eval_column(f: Formula, cap: int) -> Matrix:
+    rows = f.order[0]
+    zero = scalar_zero(f.tag)
+    entries = [zero] * rows
+    for i, v in _plan(f, cap, "", {}).items():
+        entries[i] = v
+    return Matrix(f.tag, rows, 1, tuple(entries))
+
+
 def evaluate(
     f: Formula, entry_cap: int = DEFAULT_ENTRY_CAP, mode: str = "strict"
 ) -> Matrix:
     """Evaluate bottom-up, left child first.
 
     Strict mode refuses invalid formulas; paper mode evaluates them to the
-    1x1 zero matrix.  Each node's output order is checked against
-    entry_cap before the matrix is formed, so the first offender in
-    post-order is reported.
+    1x1 zero matrix.  Every node's output order is checked against
+    entry_cap in post-order, before any work on that node, so the first
+    offender in post-order is reported.  A column-valued formula (order
+    r x 1 with r > 1) is evaluated by applying its factors to the vector;
+    any other formula is multiplied out node by node.
     """
     if mode not in ("strict", "paper"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -429,6 +595,9 @@ def evaluate(
             "cannot evaluate invalid formula: order mismatch at "
             f"{_first_invalid_path(f) or 'root'}"
         )
+    rows, cols = f.order
+    if cols == 1 and rows > 1:
+        return _eval_column(f, entry_cap)
     return _eval(f, entry_cap, "")
 
 

@@ -122,9 +122,6 @@ class Matrix:
     def row(self, r: int) -> tuple[Scalar, ...]:
         return self.entries[r * self.cols : (r + 1) * self.cols]
 
-    def column(self, c: int) -> tuple[Scalar, ...]:
-        return self.entries[c :: self.cols]
-
     def perm_or_none(self) -> tuple[int, ...] | None:
         """The permutation this matrix encodes, if it is one.
 
@@ -268,7 +265,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         )
     pa, pb = a.perm_or_none(), b.perm_or_none()
     if pa is not None and pb is not None:
-        return Matrix.from_perm(a.tag, tuple(pa[j] for j in pb))
+        # A composite of permutations is one; skip from_perm's re-check.
+        return Matrix(a.tag, a.rows, a.rows, None, tuple([pa[j] for j in pb]))
     if pa is not None:
         # Row i of the product is row pa^-1[i] of b.
         inv = _invert_perm(pa)
@@ -314,11 +312,8 @@ def kronecker(a: Matrix, b: Matrix, entry_cap: int | None = None) -> Matrix:
     pa, pb = a.perm_or_none(), b.perm_or_none()
     if pa is not None and pb is not None:
         nb = b.rows
-        perm = [0] * (len(pa) * nb)
-        for ja, ra in enumerate(pa):
-            for jb, rb in enumerate(pb):
-                perm[ja * nb + jb] = ra * nb + rb
-        return Matrix.from_perm(a.tag, perm)
+        perm = tuple([ra * nb + rb for ra in pa for rb in pb])
+        return Matrix(a.tag, rows, rows, None, perm)
     zero = scalar_zero(a.tag)
     out = [zero] * (rows * cols)
     for q in range(a.rows):

@@ -58,12 +58,6 @@ class Scalar:
     def is_one(self) -> bool:
         return self.re == 1 and self.im == 0
 
-    def as_fraction(self) -> Fraction:
-        """The value as a plain rational; rejects properly complex scalars."""
-        if self.im != 0:
-            raise ValidationError(f"scalar {render_scalar(self)} is not real")
-        return self.re
-
     def __repr__(self) -> str:
         return f"Scalar({self.tag.value}, {render_scalar(self)})"
 

@@ -58,12 +58,7 @@ class SftInstance:
             raise ValidationError(
                 f"variant must be one of {'/'.join(VARIANTS)}, got {self.variant!r}"
             )
-        report = check_osl(self.formula)
-        if not report.is_osl:
-            raise ValidationError(
-                "instance formula is not OSL "
-                f"(offending paths: {list(report.offending_paths)})"
-            )
+        check_osl(self.formula).raise_unless_osl()
 
 
 @dataclass(frozen=True)

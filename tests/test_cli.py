@@ -184,3 +184,20 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+
+class TestInternalErrors:
+    # 3000 NOT gates on e_2: a valid OSL formula whose value is e_2 (accept
+    # at k=1), nested deeper than the recursive passes can go.
+    DEEP = "([[0 1][1 0]] * " * 3000 + "[[0][1]]" + ")" * 3000
+
+    @pytest.mark.parametrize(
+        "argv", [["validate"], ["eval"], ["sft", "--k", "1"]], ids=lambda a: a[0]
+    )
+    def test_deep_chain_is_never_a_reject(self, tmp_path, capsys, argv):
+        path = write(tmp_path, "deep.formula", self.DEEP)
+        code = main(argv + [path])
+        err = capsys.readouterr().err
+        assert code != 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

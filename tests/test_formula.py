@@ -29,6 +29,7 @@ from sft_tensor.formula import (
     size,
     trivial_formula,
 )
+from sft_tensor.formula import _eval  # the multiplied-out reference
 from sft_tensor.linalg import (
     Matrix,
     basis_vector,
@@ -258,6 +259,13 @@ class TestCheckOsl:
         assert report.offending_paths == ("/L",)
 
 
+    def test_raise_unless_osl(self):
+        check_osl(Prod(Atom(CNOT), Atom(basis_vector(4, 3, Q)))).raise_unless_osl()
+        bad = Prod(Atom(mx([[1, 1], [0, 1]])), Atom(basis_vector(2, 1, Q)))
+        with pytest.raises(ValidationError, match=r"\['/L'\]"):
+            check_osl(bad).raise_unless_osl()
+
+
 class TestEvaluate:
     def test_cnot_on_basis(self):
         f = Prod(Atom(CNOT), Atom(basis_vector(4, 3, Q)))
@@ -298,6 +306,81 @@ class TestEvaluate:
     def test_cap_default_allows_moderate_sizes(self):
         f = Tensor(Atom(identity(32, Q)), Atom(identity(32, Q)))
         assert evaluate(f) == identity(1024, Q)
+
+
+class TestColumnEvaluation:
+    """Column-valued formulas are applied to the vector, never multiplied
+    out; the cap still sees every subformula's order."""
+
+    def test_shared_subtree(self):
+        rot = Atom(mx([["3/5", "-4/5"], ["4/5", "3/5"]]))
+        swap = Atom(Matrix.from_perm(Q, [0, 2, 1, 3]))
+        g = Prod(Tensor(rot, Atom(identity(2, Q))), swap)
+        v = Atom(basis_vector(4, 2, Q))
+        f = Prod(g, Prod(g, v))
+        assert evaluate(f) == mat_mul(
+            evaluate(g), mat_mul(evaluate(g), v.matrix)
+        )
+
+    def test_cap_on_square_product_inside_column(self):
+        # The 12x12 outer product is over the cap; its factors are not.
+        outer = Prod(Atom(mx([[1]] * 12)), Atom(mx([[1] * 12])))
+        f = Prod(outer, Atom(basis_vector(12, 1, Q)))
+        with pytest.raises(CapExceededError) as exc:
+            evaluate(f, entry_cap=100)
+        assert exc.value.path == "/L"
+        assert (exc.value.rows, exc.value.cols) == (12, 12)
+        assert exc.value.cap == 100
+
+    def test_cap_on_tensor_inside_column(self):
+        rot = Atom(mx([["3/5", "-4/5", 0, 0], ["4/5", "3/5", 0, 0],
+                       [0, 0, 1, 0], [0, 0, 0, 1]]))
+        op = Tensor(Atom(identity(4, Q)), rot)
+        f = Prod(Atom(identity(16, Q)), Prod(op, Atom(basis_vector(16, 3, Q))))
+        with pytest.raises(CapExceededError) as exc:
+            evaluate(f, entry_cap=200)
+        # /L (the 16x16 atom) comes first in post-order.
+        assert exc.value.path == "/L"
+        assert (exc.value.rows, exc.value.cols) == (16, 16)
+        with pytest.raises(CapExceededError) as exc:
+            evaluate(Prod(op, Atom(basis_vector(16, 3, Q))), entry_cap=200)
+        assert exc.value.path == "/L"
+        assert (exc.value.rows, exc.value.cols, exc.value.cap) == (16, 16, 200)
+
+    def test_cap_on_column_root(self):
+        f = Tensor(Atom(basis_vector(10, 1, Q)), Atom(basis_vector(12, 2, Q)))
+        with pytest.raises(CapExceededError) as exc:
+            evaluate(f, entry_cap=100)
+        assert exc.value.path == ""
+        assert (exc.value.rows, exc.value.cols) == (120, 1)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_applied_operator_matches_multiplied_out(self, data):
+        tag = data.draw(st.sampled_from(list(Tag)))
+        n = data.draw(st.integers(2, 8))
+        m = rand_mixed(data, tag, n, n, max_depth=3)
+        v = rand_mixed(data, tag, n, 1, max_depth=3)
+        assert evaluate(Prod(m, v)) == mat_mul(evaluate(m), evaluate(v))
+        assert evaluate(v) == _eval(v, 1 << 24, "")
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_cap_error_matches_multiplied_out(self, data):
+        tag = data.draw(st.sampled_from(list(Tag)))
+        n = data.draw(st.integers(2, 8))
+        f = Prod(rand_mixed(data, tag, n, n, 3), rand_mixed(data, tag, n, 1, 3))
+        cap = data.draw(st.integers(1, 64))
+        try:
+            _eval(f, cap, "")
+        except CapExceededError as old:
+            with pytest.raises(CapExceededError) as new:
+                evaluate(f, entry_cap=cap)
+            assert (new.value.path, new.value.rows, new.value.cols) == (
+                old.path, old.rows, old.cols)
+            assert new.value.cap == old.cap
+        else:
+            assert evaluate(f, entry_cap=cap) == _eval(f, cap, "")
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +484,56 @@ def _fold(op, atoms):
     for a in atoms[1:]:
         acc = op(acc, a.matrix)
     return acc
+
+
+_ENTRIES = {
+    Tag.BOOLEAN: [0, 0, 1],
+    Tag.NONNEG_RATIONAL: [0, 0, 1, Fraction(1, 2), Fraction(3, 5)],
+    Tag.RATIONAL: [0, 0, 1, -1, Fraction(-4, 5), Fraction(3, 5)],
+    Tag.GAUSSIAN_RATIONAL: [0, 0, 1, -1, Fraction(3, 5), 1j, -1j],
+}
+
+
+def _mixed_atom(data, tag, rows, cols):
+    if rows == cols and data.draw(st.booleans()):
+        return Atom(Matrix.from_perm(tag, data.draw(st.permutations(range(rows)))))
+    pool = st.sampled_from(_ENTRIES[tag])
+    flat = []
+    for _ in range(rows * cols):
+        v = data.draw(pool)
+        if isinstance(v, complex):
+            flat.append(make_scalar(tag, 0, int(v.imag)))
+        else:
+            flat.append(make_scalar(tag, v))
+    return Atom(Matrix.from_entries(tag, rows, cols, flat))
+
+
+def rand_mixed(data, tag, rows, cols, max_depth):
+    """A formula of the given order mixing Sum, Prod and Tensor over dense
+    and permutation atoms; square products sometimes share one node."""
+    if max_depth == 0 or data.draw(st.integers(0, 3)) == 0:
+        return _mixed_atom(data, tag, rows, cols)
+    op = data.draw(st.sampled_from(["+", "*", "*", "#", "#"]))
+    if op == "+":
+        return Sum(
+            rand_mixed(data, tag, rows, cols, max_depth - 1),
+            rand_mixed(data, tag, rows, cols, max_depth - 1),
+        )
+    if op == "*":
+        if rows == cols and data.draw(st.integers(0, 4)) == 0:
+            g = rand_mixed(data, tag, rows, cols, max_depth - 1)
+            return Prod(g, g)
+        inner = data.draw(st.integers(1, 6))
+        return Prod(
+            rand_mixed(data, tag, rows, inner, max_depth - 1),
+            rand_mixed(data, tag, inner, cols, max_depth - 1),
+        )
+    ra = data.draw(st.sampled_from([d for d in range(1, rows + 1) if rows % d == 0]))
+    ca = data.draw(st.sampled_from([d for d in range(1, cols + 1) if cols % d == 0]))
+    return Tensor(
+        rand_mixed(data, tag, ra, ca, max_depth - 1),
+        rand_mixed(data, tag, rows // ra, cols // ca, max_depth - 1),
+    )
 
 
 def rand_osl(data, max_depth):
