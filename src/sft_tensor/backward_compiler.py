@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .circuit import Gate, GateArray, StateVector
+from .circuit import Gate, GateArray, StateVector, wire_masks
 from .errors import ValidationError
 from .formula import (
     Atom,
@@ -69,6 +69,7 @@ __all__ = [
     "pad_formula",
     "pad_formula_with_denominators",
     "pad_unit_vector_denominator",
+    "padded_to_array",
     "pow2_ceil",
     "transpose_formula",
 ]
@@ -470,28 +471,40 @@ def _rep(f: Formula, tag: Tag) -> _Rep:
     )
 
 
+def padded_to_array(padded: Formula):
+    """Read a padded OSL formula as (GateArray, input support).
+
+    The support maps every basis index whose input amplitude is nonzero to
+    that amplitude.  It is built from the column blocks, which partition
+    the wires, so no other index is visited.
+    """
+    rep = _rep(padded, padded.tag)
+    if rep.wires == 0:
+        raise ValidationError(
+            "formula value is a single scalar; there is no wire to build an array on"
+        )
+    support = {0: rep.phase}
+    for ws, vec in rep.blocks:
+        masks = wire_masks(ws, rep.wires)
+        support = {
+            g | masks[j]: scalar_mul(a, v)
+            for g, a in support.items()
+            for j, v in enumerate(vec)
+            if not v.is_zero()
+        }
+    return GateArray(padded.tag, rep.wires, rep.levels), support
+
+
 def formula_to_array(f: Formula):
     """Compile an OSL formula to (GateArray, StateVector).
 
     simulate(array, state) equals evaluate(pad_formula(f).padded): the
     value in the leading block_length entries, junk after.
     """
-    padded = pad_formula(f).padded
-    rep = _rep(padded, f.tag)
-    if rep.wires == 0:
-        raise ValidationError(
-            "formula value is a single scalar; there is no wire to build an array on"
-        )
-    size = 1 << rep.wires
-    entries = []
-    for g in range(size):
-        amp = rep.phase
-        for ws, vec in rep.blocks:
-            local = 0
-            for t, wire in enumerate(ws):
-                local |= ((g >> (rep.wires - wire)) & 1) << (len(ws) - 1 - t)
-            amp = scalar_mul(amp, vec[local])
-        entries.append(amp)
-    array = GateArray(f.tag, rep.wires, rep.levels)
-    state = StateVector(rep.wires, Matrix.from_entries(f.tag, size, 1, entries))
+    array, support = padded_to_array(pad_formula(f).padded)
+    size = 1 << array.width
+    entries = [scalar_zero(f.tag)] * size
+    for g, amp in support.items():
+        entries[g] = amp
+    state = StateVector(array.width, Matrix.from_entries(f.tag, size, 1, entries))
     return array, state

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParseError, TagMismatchError, ValidationError
-from .formula import Atom, parse_formula, render_formula
+from .formula import Atom, parse_formula, render_formula, scan_atom
 from .linalg import (
     Matrix,
     basis_vector,
@@ -64,6 +64,7 @@ __all__ = [
     "render_gate_array",
     "simulate",
     "validate_array",
+    "wire_masks",
 ]
 
 # Permutations in column convention: the gate maps e_j to e_[perm[j]].
@@ -95,17 +96,20 @@ def builtin_gate(name: str, tag: Tag) -> Matrix:
     raise ValidationError(f"unknown gate name {name!r}")
 
 
+def wire_masks(wires, width: int) -> list:
+    """masks[j] sets, among width wires, the bits of local index j on the
+    given wires; the first listed wire carries j's most significant bit."""
+    masks = [0]
+    for wire in wires:
+        bit = 1 << (width - wire)
+        masks = [m | b for m in masks for b in (0, bit)]
+    return masks
+
+
 def _resorted_matrix(matrix: Matrix, listed: tuple) -> Matrix:
     """Conjugate so the gate reads its local bits in sorted-wire order."""
-    k = len(listed)
-    pos = {wire: i for i, wire in enumerate(sorted(listed))}
-    pi = [0] * (1 << k)
-    for x in range(1 << k):
-        y = 0
-        for j, wire in enumerate(listed):
-            bit = (x >> (k - 1 - j)) & 1
-            y |= bit << (k - 1 - pos[wire])
-        pi[x] = y
+    rank = {wire: i for i, wire in enumerate(sorted(listed), start=1)}
+    pi = wire_masks([rank[wire] for wire in listed], len(listed))
     p = Matrix.from_perm(matrix.tag, pi)
     return mat_mul(mat_mul(p, matrix), conj_transpose(p))
 
@@ -360,23 +364,11 @@ def acceptance_probability(s: StateVector, k: int) -> Scalar:
 def _split_gate_spec(rest: str, tag: Tag, ln: int):
     """Split a gate line body into (matrix, wire-text)."""
     if rest.startswith("["):
-        depth = 0
-        end = None
-        for i, ch in enumerate(rest):
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-                if depth == 0:
-                    end = i + 1
-                    break
-        if end is None:
-            raise ParseError(f"line {ln}: unterminated inline matrix")
         try:
-            node = parse_formula(rest[:end], tag)
+            matrix, end = scan_atom(rest, 0, tag, {})
         except ParseError as exc:
             raise ParseError(f"line {ln}: {exc}") from None
-        return node.matrix, rest[end:]
+        return matrix, rest[end:]
     name, _, wire_text = rest.partition(" ")
     try:
         matrix = builtin_gate(name, tag)

@@ -14,11 +14,17 @@ Text syntax, fully parenthesised::
     atom    := '[' row+ ']'
     row     := '[' scalar-token+ ']'
 
-Whitespace between tokens is insignificant.  Boolean rows may also be
-written as bare digit runs ("[[001][101]]"); the renderer always emits
-one space between entries.  In strict mode malformed or invalid text is
-an error with an offset; in paper mode it denotes the trivial 1x1 zero
-formula.
+Whitespace (space, tab, CR, LF) between tokens is insignificant.
+Boolean rows may also be written as bare digit runs ("[[001][101]]"); the
+renderer always emits one space between entries.  In strict mode
+malformed or invalid text is an error with the offset of its first
+fault; in paper mode it denotes the trivial 1x1 zero formula.
+
+Parsing is iterative: one loop keeps a stack of open parentheses, so
+nesting depth is bounded by memory, not by Python's recursion limit.
+Each row is matched by one regex and its tokens are read with finditer;
+scan_atom is the only atom scanner in the package (the gate-array
+format's inline matrices use it too).
 
 Evaluation is post-order, left child first.  Every node's order,
 including atoms', is checked against an entry cap before any work on that
@@ -35,6 +41,7 @@ node by node.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterator, Sequence, Union
@@ -50,7 +57,6 @@ from .linalg import (
     zero_matrix,
 )
 from .semiring import (
-    Scalar,
     Tag,
     parse_scalar,
     render_scalar,
@@ -111,18 +117,17 @@ class _Binary(Formula):
     left: Formula
     right: Formula
     order: Order = field(init=False, compare=False, repr=False)
+    tag: Tag = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.left.tag is not self.right.tag:
+        tag = self.left.tag
+        if tag is not self.right.tag:
             raise TagMismatchError(
-                f"cannot combine {self.left.tag.value} and "
+                f"cannot combine {tag.value} and "
                 f"{self.right.tag.value} subformulas"
             )
         object.__setattr__(self, "order", self._combine_orders())
-
-    @property
-    def tag(self) -> Tag:
-        return self.left.tag
+        object.__setattr__(self, "tag", tag)
 
     def _combine_orders(self) -> Order:
         raise NotImplementedError
@@ -174,115 +179,106 @@ def _subformulas(f: Formula, path: str = "") -> Iterator[tuple]:
 # Parsing and rendering
 
 
-_STRUCTURAL = "[]()"
-_WS = " \t\r\n"
+# The grammar's whitespace is exactly these four characters; anything else
+# (a vertical tab, a no-break space) is part of a token.
+_WS_RUN = re.compile(r"[ \t\r\n]*")
+# A row's '[' and everything up to the next structural character.
+_ROW_BODY = re.compile(r"\[([^\[\]()]*)")
+_TOKEN = re.compile(r"[^ \t\r\n]+")
 
 
-class _Parser:
-    def __init__(self, text: str, tag: Tag):
-        self.text = text
-        self.tag = tag
-        self.pos = 0
-
-    def parse(self) -> Formula:
-        node = self.formula()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise ParseError("unexpected trailing input", self.pos)
-        return node
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in _WS:
-            self.pos += 1
-
-    def peek(self) -> str | None:
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise ParseError(f"expected '{ch}'", self.pos)
-        self.pos += 1
-
-    def formula(self) -> Formula:
-        self.skip_ws()
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            left = self.formula()
-            self.skip_ws()
-            op = self.peek()
-            if op not in _OP_NODE:
-                raise ParseError("expected '+', '*' or '#'", self.pos)
-            self.pos += 1
-            right = self.formula()
-            self.skip_ws()
-            self.expect(")")
-            return _OP_NODE[op](left, right)
-        if ch == "[":
-            return self.atom()
-        if ch is None:
-            raise ParseError("unexpected end of input", self.pos)
-        raise ParseError("expected '(' or '['", self.pos)
-
-    def atom(self) -> Atom:
-        start = self.pos
-        self.expect("[")
-        rows: list[list[Scalar]] = []
-        while True:
-            self.skip_ws()
-            ch = self.peek()
-            if ch == "[":
-                rows.append(self.row())
-            elif ch == "]":
-                self.pos += 1
-                break
-            elif ch is None:
-                raise ParseError("unterminated atom", self.pos)
-            else:
-                raise ParseError("expected '[' or ']' inside atom", self.pos)
-        if not rows:
-            raise ParseError("atom has no rows", start)
-        if any(len(r) != len(rows[0]) for r in rows):
-            raise ParseError("atom rows have unequal lengths", start)
-        return Atom(Matrix.from_rows(self.tag, rows))
-
-    def row(self) -> list[Scalar]:
-        start = self.pos
-        self.expect("[")
-        entries: list[Scalar] = []
-        while True:
-            self.skip_ws()
-            ch = self.peek()
-            if ch == "]":
-                self.pos += 1
-                break
-            if ch is None:
-                raise ParseError("unterminated row", self.pos)
-            if ch in _STRUCTURAL:
-                raise ParseError(f"unexpected '{ch}' inside row", self.pos)
-            entries.extend(self.scalars())
-        if not entries:
-            raise ParseError("row has no entries", start)
-        return entries
-
-    def scalars(self) -> list[Scalar]:
-        start = self.pos
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in _WS or ch in _STRUCTURAL:
-                break
-            self.pos += 1
-        token = self.text[start : self.pos]
-        # Boolean rows allow packed digit runs: "001" is three entries.
-        if self.tag is Tag.BOOLEAN and len(token) > 1:
-            return [self._scalar(c, start + i) for i, c in enumerate(token)]
-        return [self._scalar(token, start)]
-
-    def _scalar(self, token: str, offset: int) -> Scalar:
+def _token_scalars(token: str, offset: int, tag: Tag) -> list:
+    # Boolean rows allow packed digit runs: "001" is three entries.
+    parts = token if tag is Tag.BOOLEAN else (token,)
+    out = []
+    for i, part in enumerate(parts):
         try:
-            return parse_scalar(token, self.tag)
+            out.append(parse_scalar(part, tag))
         except ParseError as exc:
-            raise ParseError(str(exc), offset) from None
+            raise ParseError(str(exc), offset + i) from None
+    return out
+
+
+def scan_atom(text: str, pos: int, tag: Tag, memo: dict) -> tuple:
+    """Read the atom whose '[' is at text[pos]; return (matrix, end offset).
+
+    The one atom scanner: formula text and the gate-array format's inline
+    matrices both go through it.  Each row is one regex match; its tokens
+    are read left to right, so a bad scalar is reported before a
+    structural error later in the same row.  memo maps tokens already read
+    in this text to their scalars.
+    """
+    rows = []
+    at = pos + 1
+    while True:
+        at = _WS_RUN.match(text, at).end()
+        row = _ROW_BODY.match(text, at)
+        if row is None:
+            ch = text[at : at + 1]
+            if ch == "]":
+                break
+            raise ParseError(
+                "expected '[' or ']' inside atom" if ch else "unterminated atom", at
+            )
+        entries = []
+        for token in _TOKEN.finditer(text, row.start(1), row.end()):
+            word = token.group()
+            scalars = memo.get(word)
+            if scalars is None:
+                scalars = memo[word] = _token_scalars(word, token.start(), tag)
+            entries += scalars
+        end = row.end()
+        ch = text[end : end + 1]
+        if ch != "]":
+            raise ParseError(
+                f"unexpected '{ch}' inside row" if ch else "unterminated row", end
+            )
+        if not entries:
+            raise ParseError("row has no entries", at)
+        rows.append(entries)
+        at = end + 1
+    if not rows:
+        raise ParseError("atom has no rows", pos)
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ParseError("atom rows have unequal lengths", pos)
+    return Matrix.from_rows(tag, rows), at + 1
+
+
+def _parse(text: str, tag: Tag) -> Formula:
+    # One frame per open '(': None until its left operand is complete, then
+    # (left, node type) until its right operand and ')' are.
+    frames: list = []
+    memo: dict = {}
+    pos = 0
+    while True:
+        pos = _WS_RUN.match(text, pos).end()
+        ch = text[pos : pos + 1]
+        if ch == "(":
+            frames.append(None)
+            pos += 1
+            continue
+        if ch != "[":
+            raise ParseError(
+                "expected '(' or '['" if ch else "unexpected end of input", pos
+            )
+        matrix, pos = scan_atom(text, pos, tag, memo)
+        node = Atom(matrix)
+        pos = _WS_RUN.match(text, pos).end()
+        while frames and frames[-1] is not None:
+            left, kind = frames.pop()
+            if text[pos : pos + 1] != ")":
+                raise ParseError("expected ')'", pos)
+            node = kind(left, node)
+            pos = _WS_RUN.match(text, pos + 1).end()
+        if not frames:
+            if pos != len(text):
+                raise ParseError("unexpected trailing input", pos)
+            return node
+        kind = _OP_NODE.get(text[pos : pos + 1])
+        if kind is None:
+            raise ParseError("expected '+', '*' or '#'", pos)
+        frames[-1] = (node, kind)
+        pos += 1
 
 
 def _first_invalid_path(f: Formula) -> str:
@@ -305,7 +301,7 @@ def parse_formula(text: str, tag: Tag, mode: str = "strict") -> Formula:
     if mode not in ("strict", "paper"):
         raise ValueError(f"unknown mode {mode!r}")
     try:
-        node = _Parser(text, tag).parse()
+        node = _parse(text, tag)
     except ParseError:
         if mode == "paper":
             return trivial_formula(tag)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import ShapeError, TagMismatchError, ValidationError
+from .errors import ShapeError, TagMismatchError
 from .semiring import (
     Scalar,
     Tag,
@@ -301,14 +301,10 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.tag, n, p, tuple(out))
 
 
-def kronecker(a: Matrix, b: Matrix, entry_cap: int | None = None) -> Matrix:
+def kronecker(a: Matrix, b: Matrix) -> Matrix:
     """The Kronecker product, of order (a.rows*b.rows) x (a.cols*b.cols)."""
     _check_tags(a, b)
     rows, cols = a.rows * b.rows, a.cols * b.cols
-    if entry_cap is not None and rows * cols > entry_cap:
-        raise ValidationError(
-            f"Kronecker result {rows}x{cols} exceeds entry cap {entry_cap}"
-        )
     pa, pb = a.perm_or_none(), b.perm_or_none()
     if pa is not None and pb is not None:
         nb = b.rows

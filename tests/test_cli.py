@@ -1,6 +1,11 @@
 """Exit codes and byte-exact output of the sft-tensor command line."""
 
+import contextlib
+import io
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sft_tensor.cli import main
 
@@ -201,3 +206,75 @@ class TestInternalErrors:
         assert code != 1
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# Entry tokens per semiring; "01" is a packed Boolean run, and the others
+# include tokens some semirings refuse.
+_TOKENS = {
+    "bool": ["0", "1", "01"],
+    "qplus": ["0", "1", "1/2", "3/5", "-1"],
+    "q": ["0", "1", "-1", "3/5", "-4/5", "1/0"],
+    "qi": ["0", "1", "i", "-1/2i", "1/2+1/2i", "3/5-4/5i"],
+}
+_SHAPES = [(1, 1), (2, 2), (2, 1), (1, 2), (3, 3), (4, 1)]
+_NOISE = "[]()+*#01 -/i\t\n\x0b3x"
+
+
+@st.composite
+def fuzzed_formula(draw, semiring):
+    """A small rendered formula, kept whole, truncated, mutated at one
+    character, or replaced by random text; the noise characters are the
+    grammar's own plus a vertical tab, a 3 and an x."""
+    tokens = st.sampled_from(_TOKENS[semiring])
+
+    def atom():
+        rows, cols = draw(st.sampled_from(_SHAPES))
+        return "[%s]" % "".join(
+            "[%s]" % " ".join(draw(tokens) for _ in range(cols)) for _ in range(rows)
+        )
+
+    def formula(depth):
+        if depth == 0 or draw(st.booleans()):
+            return atom()
+        op = draw(st.sampled_from("+*#"))
+        return "(" + formula(depth - 1) + op + formula(depth - 1) + ")"
+
+    text = formula(3)
+    kind = draw(
+        st.sampled_from(["keep", "truncate", "delete", "insert", "replace", "random"])
+    )
+    if kind == "random":
+        return draw(st.text(alphabet=_NOISE, max_size=40))
+    if kind == "keep":
+        return text
+    at = draw(st.integers(0, len(text) - 1))
+    noise = draw(st.sampled_from(_NOISE))
+    return {
+        "truncate": text[:at],
+        "delete": text[:at] + text[at + 1 :],
+        "insert": text[:at] + noise + text[at:],
+        "replace": text[:at] + noise + text[at + 1 :],
+    }[kind]
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_and_one_error_line(self, tmp_path_factory, data):
+        semiring = data.draw(st.sampled_from(sorted(_TOKENS)))
+        text = data.draw(fuzzed_formula(semiring))
+        verb = data.draw(
+            st.sampled_from(
+                [["validate"], ["eval"], ["eval", "--max-entries", "8"]]
+            )
+        )
+        mode = data.draw(st.sampled_from(["strict", "paper"]))
+        path = tmp_path_factory.getbasetemp() / "fuzz.formula"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(verb + ["--semiring", semiring, "--mode", mode, str(path)])
+        assert code in (0, 3, 4), err.getvalue()
+        if code:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")

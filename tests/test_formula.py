@@ -170,6 +170,102 @@ class TestParse:
             parse_formula("[[1]]", Q, mode="lenient")
 
 
+# The first error of each malformed text: every message the grammar can
+# raise, packed Boolean runs, Gaussian tokens, a bad scalar before a later
+# structural error in the same row, and characters that look like
+# whitespace but are not in the grammar's " \t\r\n".
+PARSE_ERRORS = [
+    ("[[1]] x", "q", "unexpected trailing input", 6),
+    ("[[1]][[1]]", "q", "unexpected trailing input", 5),
+    ("[[1]]\x0c", "q", "unexpected trailing input", 5),
+    ("([[1]] [[1]])", "q", "expected '+', '*' or '#'", 7),
+    ("([[1]]%[[1]])", "q", "expected '+', '*' or '#'", 6),
+    ("([[1]]", "q", "expected '+', '*' or '#'", 6),
+    ("([[1]]*[[1]]", "q", "expected ')'", 12),
+    ("([[1]]*[[1]] [[1]])", "q", "expected ')'", 13),
+    ("([[1]]*[[1]]]", "q", "expected ')'", 12),
+    ("([[1]]#([[1]]+[[1]]]))", "q", "expected ')'", 19),
+    ("", "q", "unexpected end of input", 0),
+    ("  \n\t", "q", "unexpected end of input", 4),
+    ("(", "q", "unexpected end of input", 1),
+    ("([[1]]*", "q", "unexpected end of input", 7),
+    ("x", "q", "expected '(' or '['", 0),
+    ("(\xa0[[1]]*[[1]])", "q", "expected '(' or '['", 1),
+    ("([[1]]*)", "q", "expected '(' or '['", 7),
+    (")", "q", "expected '(' or '['", 0),
+    ("[", "q", "unterminated atom", 1),
+    ("[[1]", "q", "unterminated atom", 4),
+    ("[[1] x]", "q", "expected '[' or ']' inside atom", 5),
+    ("[\x0b[1]]", "q", "expected '[' or ']' inside atom", 1),
+    ("[[1] (]", "q", "expected '[' or ']' inside atom", 5),
+    ("[]", "q", "atom has no rows", 0),
+    ("[ \n ]", "q", "atom has no rows", 0),
+    ("[[1 2][3]]", "q", "atom rows have unequal lengths", 0),
+    ("[[1", "q", "unterminated row", 3),
+    ("[[1 2 ", "q", "unterminated row", 6),
+    ("[[1 [2]]", "q", "unexpected '[' inside row", 4),
+    ("[[1 (2]]", "q", "unexpected '(' inside row", 4),
+    ("[[1 )]]", "q", "unexpected ')' inside row", 4),
+    ("[[]]", "q", "row has no entries", 1),
+    ("[[1][ ]]", "q", "row has no entries", 4),
+    ("[[1 x (]]", "q", "invalid rational scalar 'x'", 4),
+    ("([[1]]*[[1 x]] (", "q", "invalid rational scalar 'x'", 11),
+    ("[[x", "q", "invalid rational scalar 'x'", 2),
+    ("[[1/0]]", "q", "zero denominator in '1/0'", 2),
+    ("(([[1]]+[[1]])#[[1/0]])", "q", "zero denominator in '1/0'", 17),
+    ("[[1.5]]", "q", "invalid rational scalar '1.5'", 2),
+    ("[[3/-4]]", "q", "invalid rational scalar '3/-4'", 2),
+    ("[[1i]]", "q", "invalid rational scalar '1i'", 2),
+    ("[[1 1\x0b0]]", "q", "invalid rational scalar '1\\x0b0'", 4),
+    ("[[1\xa00]]", "q", "invalid rational scalar '1\\xa00'", 2),
+    ("[[-1]]", "qplus", "negative scalar '-1' not allowed in this semiring", 2),
+    ("[[2]]", "bool", "invalid Boolean scalar '2'", 2),
+    ("[[012]]", "bool", "invalid Boolean scalar '2'", 4),
+    ("[[0 1][0120]]", "bool", "invalid Boolean scalar '2'", 9),
+    ("[[01 1x0]]", "bool", "invalid Boolean scalar 'x'", 6),
+    ("[[1+i]]", "qi", "invalid Gaussian-rational scalar '1+i'", 2),
+    ("[[1/2+1/0i]]", "qi", "zero denominator in '1/0'", 2),
+    ("[[1/2-1/2i 3j]]", "qi", "invalid Gaussian-rational scalar '3j'", 11),
+]
+
+
+class TestParseErrorTable:
+    @pytest.mark.parametrize("text, semiring, message, offset", PARSE_ERRORS)
+    def test_first_error(self, text, semiring, message, offset):
+        with pytest.raises(ParseError) as exc:
+            parse_formula(text, Tag(semiring))
+        assert str(exc.value) == f"{message} (at offset {offset})"
+        assert exc.value.position == offset
+
+
+class TestDeepChains:
+    DEPTH = 10_000
+    NOT = "[[0 1][1 0]]"
+
+    def spine(self, f, side):
+        depth = 0
+        while isinstance(f, Prod):
+            f = getattr(f, side)
+            depth += 1
+        return depth
+
+    def test_left_nested(self):
+        d = self.DEPTH
+        text = "(" * d + self.NOT + ("*" + self.NOT + ")") * (d - 1) + "*[[0][1]])"
+        f = parse_formula(text, B)
+        assert f.order == (2, 1)
+        assert f.tag is B
+        assert self.spine(f, "left") == d
+
+    def test_right_nested(self):
+        d = self.DEPTH
+        text = ("(" + self.NOT + "*") * d + "[[0][1]]" + ")" * d
+        f = parse_formula(text, Q)
+        assert f.order == (2, 1)
+        assert f.tag is Q
+        assert self.spine(f, "right") == d
+
+
 class TestRender:
     def test_identity_atom(self):
         assert render_formula(Atom(identity(2, Q))) == "[[1 0][0 1]]"
