@@ -12,7 +12,7 @@ The package provides, roughly bottom-up:
 - `circuit`: leveled gate arrays, a builtin gate library, and an exact
   state-vector simulator.
 - `forward_compiler`: gate array to sum-free tensor formula, including the
-  swap-ladder machinery for gates on non-adjacent wires.
+  adjacent-swap routing for gates on non-adjacent wires.
 - `backward_compiler`: power-of-2 padding of OSL formulas, the stride-based
   row/column correction permutations, denominator normalization, and
   formula to gate array.

@@ -257,10 +257,15 @@ def _pad(f: Formula, column_pad):
     raise ValidationError("padding is defined for sum-free formulas only")
 
 
-def pad_formula(f: Formula) -> PaddedFormula:
+def pad_formula(f: Formula, checked: bool = True) -> PaddedFormula:
     """Pad an OSL formula so every subformula order is a power of 2; the
-    value survives as the leading block of the padded value."""
-    check_osl(f).raise_unless_osl()
+    value survives as the leading block of the padded value.
+
+    checked=False skips the OSL check, for a formula the caller has
+    already checked.
+    """
+    if checked:
+        check_osl(f).raise_unless_osl()
     padded, true_rows, _ = _pad(f, _default_column_pad)
     return PaddedFormula(original=f, padded=padded, block_length=true_rows)
 

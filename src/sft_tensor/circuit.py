@@ -377,15 +377,27 @@ def _split_gate_spec(rest: str, tag: Tag, ln: int):
     return matrix, wire_text
 
 
+def _positive_int(text: str):
+    """The value of a positive decimal numeral, or None."""
+    if not text.isdecimal():
+        return None
+    try:
+        value = int(text)
+    except ValueError:  # longer than the interpreter's digit limit
+        return None
+    return value if value >= 1 else None
+
+
 def _parse_wires(text: str, ln: int) -> tuple:
     parts = text.split()
     if not parts:
         raise ParseError(f"line {ln}: gate needs at least one wire")
     wires = []
     for part in parts:
-        if not part.isdigit() or int(part) < 1:
+        wire = _positive_int(part)
+        if wire is None:
             raise ParseError(f"line {ln}: bad wire index {part!r}")
-        wires.append(int(part))
+        wires.append(wire)
     return tuple(wires)
 
 
@@ -405,9 +417,9 @@ def parse_gate_array(text: str, tag: Tag):
         if head == "width":
             if width is not None:
                 raise ParseError(f"line {ln}: duplicate width")
-            if not rest.isdigit() or int(rest) < 1:
+            width = _positive_int(rest)
+            if width is None:
                 raise ParseError(f"line {ln}: width must be a positive integer")
-            width = int(rest)
         elif width is None:
             raise ParseError(f"line {ln}: expected 'width <n>' first")
         elif head == "level":

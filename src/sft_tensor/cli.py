@@ -218,8 +218,12 @@ _HANDLERS = {
 }
 
 
+# Built once: parse_args keeps no state between calls.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except CapExceededError as exc:

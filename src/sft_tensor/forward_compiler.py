@@ -1,24 +1,33 @@
 """Compile gate arrays into equivalent sum-free tensor formulas.
 
 One level whose gates sit on consecutive wires is a single tensor chain:
-gate matrices interleaved with I_2 factors for untouched wires.  A level
-with gates on scattered wires is handled by choosing a wire permutation
-that drags every gate's wires into a block starting at wire 1, so that
+gate matrices interleaved with I_2 factors for untouched wires.  Gates on
+scattered wires are brought together by moving the wires themselves.  The
+compiler tracks an arrangement, the wire label sitting on each position,
+starting from the identity.  Before each level it routes the wires to
+that level's target arrangement: the level's gates packed from position
+1 in order of their lowest wire, then the untouched wires in their
+current relative order.  The packed level is one tensor chain, the
+arrangement becomes the target, and after the last level one more route
+brings every wire home.  Levels without gates add nothing.
 
-    level operator = P_inverse . (packed tensor chain) . P
+Each route is odd-even transposition sort (Knuth, TAOCP Vol. 3, 5.3.4):
+at most n rounds of disjoint adjacent swaps, each round one balanced
+tensor chain of two-wire swap atoms and I_2 atoms.  Rounds without a swap
+are dropped.  So the routing between two levels costs at most n chains,
+and wires a level leaves alone stay where the previous level put them
+instead of being sent home and fetched again.  The whole array is the
+product of these chains, level 1 rightmost, parenthesized as a balanced
+tree so the formula depth stays logarithmic in the chain count.
 
-The permutation is realized as a staircase of cycles (j, j+1, ..., k),
-selection-sort style, so the i-th cycle never touches wires below i; each
-cycle is a ladder of adjacent-swap levels built only from the two-wire
-swap matrix and I_2.  The whole array is then the product of its level
-formulas, right to left, parenthesized as a balanced tree so the formula
-depth stays logarithmic in the level count.
-
-Wire values move as follows in a cycle formula with inverse=False: the
-value on wire k jumps up to wire j and the values on wires j..k-1 slide
-down one place.  inverse=True undoes that.  Everything here is verified
-extensionally against the simulator, so the conventions are pinned by
-tests rather than prose.
+LevelPlan describes one level on its own, as P_sigma^-1 . packed . P_sigma
+with P_sigma the route from the identity; it also records sigma as a
+staircase of cycles, each of which cycle_formula turns into a ladder of
+single-swap chains.  Wire values move as follows in a cycle formula with
+inverse=False: the value on wire k jumps up to wire j and the values on
+wires j..k-1 slide down one place.  inverse=True undoes that.  Everything
+here is verified extensionally against the simulator, so the conventions
+are pinned by tests rather than prose.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ __all__ = [
     "cycle_formula",
     "input_vector_formula",
     "level_matrix_formula",
+    "odd_even_rounds",
 ]
 
 
@@ -54,11 +64,45 @@ def identity_formula(n: int, tag: Tag) -> Formula:
     return balanced_tensor(_wire_atoms(n, tag))
 
 
-def _swap_level(p: int, n: int, tag: Tag) -> Formula:
-    """Adjacent swap of wires p, p+1 embedded in n wires."""
-    swap = Atom(Matrix.from_perm(tag, [0, 2, 1, 3]))
-    parts = _wire_atoms(p - 1, tag) + [swap] + _wire_atoms(n - p - 1, tag)
-    return balanced_tensor(parts)
+def odd_even_rounds(start: Sequence[int], target: Sequence[int]) -> list:
+    """Rounds of adjacent swaps taking arrangement start to target.
+
+    An arrangement lists the wire label on each position 1..n.  This is
+    odd-even transposition sort on the labels' target positions: round r
+    compares the pairs (p, p+1) with p of r's parity, so its swaps are
+    disjoint, and n rounds sort any arrangement.  Rounds are returned in
+    application order, each a tuple of the positions p whose pair it
+    swaps; rounds without a swap are dropped.
+    """
+    n = len(start)
+    if sorted(start) != sorted(target):
+        raise ValidationError(
+            f"{list(target)} is not a rearrangement of {list(start)}"
+        )
+    rank = {label: i for i, label in enumerate(target)}
+    keys = [rank[label] for label in start]
+    rounds = []
+    for r in range(n):
+        swaps = []
+        for i in range(r % 2, n - 1, 2):
+            if keys[i] > keys[i + 1]:
+                keys[i], keys[i + 1] = keys[i + 1], keys[i]
+                swaps.append(i + 1)
+        if swaps:
+            rounds.append(tuple(swaps))
+    return rounds
+
+
+def _round_formula(swaps: Sequence[int], n: int, tag: Tag) -> Formula:
+    """Tensor chain swapping wires p, p+1 for each p in swaps."""
+    swap = Matrix.from_perm(tag, [0, 2, 1, 3])
+    return level_matrix_formula([Gate((p, p + 1), swap) for p in swaps], n, tag)
+
+
+def _route(start: Sequence[int], target: Sequence[int], tag: Tag) -> list:
+    """Round formulas in application order (first round first)."""
+    n = len(start)
+    return [_round_formula(r, n, tag) for r in odd_even_rounds(start, target)]
 
 
 def cycle_formula(
@@ -73,7 +117,7 @@ def cycle_formula(
     """
     if not 1 <= j < k <= n:
         raise ValidationError(f"need 1 <= j < k <= n, got j={j} k={k} n={n}")
-    factors = [_swap_level(p, n, tag) for p in range(j, k)]
+    factors = [_round_formula((p,), n, tag) for p in range(j, k)]
     if inverse:
         factors.reverse()
     return balanced_prod(factors)
@@ -87,6 +131,24 @@ def _sorted_level(level: Sequence[Gate]) -> list:
             raise ValidationError("gates in one level share a wire")
         seen |= set(g.wires)
     return gates
+
+
+def _packed_target(gates: Sequence[Gate], current: Sequence[int]) -> list:
+    """The gates' wires from position 1 on, then the other wires in their
+    current relative order."""
+    touched = [w for g in gates for w in g.wires]
+    busy = set(touched)
+    return touched + [w for w in current if w not in busy]
+
+
+def _packed_level(gates: Sequence[Gate]) -> list:
+    packed = []
+    wire = 1
+    for g in gates:
+        width = len(g.wires)
+        packed.append(Gate(tuple(range(wire, wire + width)), g.matrix))
+        wire += width
+    return packed
 
 
 def level_matrix_formula(level: Sequence[Gate], n: int, tag: Tag) -> Formula:
@@ -111,11 +173,13 @@ def level_matrix_formula(level: Sequence[Gate], n: int, tag: Tag) -> Formula:
 
 @dataclass(frozen=True)
 class LevelPlan:
-    """Adjacency plan for one level.
+    """Adjacency plan for one level on its own.
 
-    sigma maps each original wire to its packed position; cycles is the
-    staircase realizing sigma (cycle i leaves wires below its start
-    untouched).  formula evaluates to the level's full 2^n operator.
+    sigma maps each original wire to its packed position; cycles describes
+    sigma as a staircase of cycles (cycle i leaves wires below its start
+    untouched).  p_sigma is the odd-even route from the identity to the
+    packed arrangement and p_sigma_inv the same rounds in reverse order.
+    formula evaluates to the level's full 2^n operator.
     """
 
     n: int
@@ -142,16 +206,15 @@ def adjacency_normalize(level: Sequence[Gate], n: int, tag: Tag) -> LevelPlan:
     increasing order.
     """
     gates = _sorted_level(level)
-    touched = [w for g in gates for w in g.wires]
-    rest = [w for w in range(1, n + 1) if w not in set(touched)]
-    target_order = touched + rest
+    home = list(range(1, n + 1))
+    target_order = _packed_target(gates, home)
     sigma = [0] * n
     for pos, orig in enumerate(target_order, start=1):
         sigma[orig - 1] = pos
 
     # Selection sort with down-cycles: put the right value on wire i, then
     # never touch wires 1..i again.
-    current = list(range(1, n + 1))
+    current = list(home)
     cycles = []
     for i in range(1, n + 1):
         h = current.index(target_order[i - 1], i - 1) + 1
@@ -159,22 +222,13 @@ def adjacency_normalize(level: Sequence[Gate], n: int, tag: Tag) -> LevelPlan:
             cycles.append((i, h))
             current.insert(i - 1, current.pop(h - 1))
 
-    packed = []
-    wire = 1
-    for g in gates:
-        width = len(g.wires)
-        packed.append(Gate(tuple(range(wire, wire + width)), g.matrix))
-        wire += width
-    packed_formula = level_matrix_formula(packed, n, tag)
-
-    if cycles:
-        # Operator order: first cycle applied first, so it sits rightmost.
-        p_sigma = balanced_prod(
-            [cycle_formula(j, k, n, tag) for j, k in reversed(cycles)]
-        )
-        p_sigma_inv = balanced_prod(
-            [cycle_formula(j, k, n, tag, inverse=True) for j, k in cycles]
-        )
+    packed = _packed_level(gates)
+    rounds = _route(home, target_order, tag)
+    if rounds:
+        # Operator order: the first round is applied first, so it sits
+        # rightmost; each round is its own inverse.
+        p_sigma = balanced_prod(rounds[::-1])
+        p_sigma_inv = balanced_prod(rounds)
     else:
         p_sigma = identity_formula(n, tag)
         p_sigma_inv = identity_formula(n, tag)
@@ -185,7 +239,7 @@ def adjacency_normalize(level: Sequence[Gate], n: int, tag: Tag) -> LevelPlan:
         sigma=tuple(sigma),
         cycles=tuple(cycles),
         packed_level=tuple(packed),
-        packed_formula=packed_formula,
+        packed_formula=level_matrix_formula(packed, n, tag),
         p_sigma=p_sigma,
         p_sigma_inv=p_sigma_inv,
     )
@@ -194,19 +248,31 @@ def adjacency_normalize(level: Sequence[Gate], n: int, tag: Tag) -> LevelPlan:
 def compile_array_to_formula(c: GateArray) -> Formula:
     """Sum-free formula F with F . d_x evaluating to simulate(c, x).
 
-    Level 1 ends up rightmost in the product; the chain is balanced, so
-    depth grows with log of the level count.
+    Wires are routed once between consecutive levels (see the module
+    docstring).  Level 1 ends up rightmost in the product; the chain is
+    balanced, so depth grows with log of the chain count.  An array
+    without gates compiles to the identity.
     """
     report = validate_array(c)
     if not report.ok:
         raise ValidationError(f"invalid gate array: {report.violations[0]}")
-    if not c.levels:
-        return identity_formula(c.width, c.tag)
-    formulas = [
-        adjacency_normalize(level, c.width, c.tag).formula for level in c.levels
-    ]
-    formulas.reverse()
-    return balanced_prod(formulas)
+    n, tag = c.width, c.tag
+    home = list(range(1, n + 1))
+    current = home
+    factors = []  # in application order
+    for level in c.levels:
+        gates = _sorted_level(level)
+        if not gates:
+            continue
+        target = _packed_target(gates, current)
+        factors += _route(current, target, tag)
+        factors.append(level_matrix_formula(_packed_level(gates), n, tag))
+        current = target
+    if not factors:
+        return identity_formula(n, tag)
+    factors += _route(current, home, tag)
+    factors.reverse()
+    return balanced_prod(factors)
 
 
 InputSpec = Union[str, Sequence[Matrix]]

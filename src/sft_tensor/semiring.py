@@ -147,15 +147,24 @@ _GAUSSIAN_RE = re.compile(
 )
 
 
+def _int_from_digits(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        # int() refuses digit strings past the interpreter's length limit.
+        digits = len(text.lstrip("-"))
+        raise ParseError(f"integer of {digits} digits is too long") from None
+
+
 def _fraction_from_token(token: str) -> Fraction:
     # Fraction would happily parse "3/0" into an exception of its own; keep
     # the error in our vocabulary.
     if "/" in token:
         num, den = token.split("/", 1)
-        if int(den) == 0:
+        if _int_from_digits(den) == 0:
             raise ParseError(f"zero denominator in {token!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(token))
+        return Fraction(_int_from_digits(num), _int_from_digits(den))
+    return Fraction(_int_from_digits(token))
 
 
 def parse_scalar(token: str, tag: Tag) -> Scalar:

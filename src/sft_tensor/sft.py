@@ -108,7 +108,8 @@ def boolean_fastpath(inst: SftInstance) -> SftVerdict:
         raise ValidationError(
             f"fast path handles Boolean instances, got {inst.formula.tag.value}"
         )
-    padding = pad_formula(inst.formula)
+    # SftInstance has checked the formula is OSL.
+    padding = pad_formula(inst.formula, checked=False)
     if padding.padded.order == (1, 1):
         # No wires to build an array on; the value is the single entry.
         return decide_sft(inst)

@@ -2,6 +2,11 @@
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
+
+import sft_tensor
 
 import pytest
 from hypothesis import given, settings
@@ -189,6 +194,69 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+
+class TestParserReuse:
+    def test_successive_calls_match_fresh_processes(self, rot_file, capsys):
+        # The value is (3/5, -4/5), so k=1 weighs 16/25: alpha 3/4 rejects
+        # and the default 1/2 accepts, which a leaked --alpha would flip.
+        calls = [
+            ["sft", "--k", "1", "--alpha", "3/4", rot_file],
+            ["sft", "--k", "1", rot_file],
+            ["validate", rot_file],
+        ]
+        src = os.path.dirname(os.path.dirname(sft_tensor.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        for argv in calls:
+            code = main(argv)
+            got = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "sft_tensor.cli", *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert (code, got.out, got.err) == (
+                fresh.returncode,
+                fresh.stdout,
+                fresh.stderr,
+            )
+
+
+class TestHugeIntegers:
+    DIGITS = "1" * 5000
+
+    def one_error_line(self, capsys):
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        return lines[0]
+
+    def test_formula_token(self, tmp_path, capsys):
+        path = write(tmp_path, "big.formula", f"[[{self.DIGITS}]]\n")
+        assert main(["eval", path]) == 3
+        line = self.one_error_line(capsys)
+        assert line.endswith("too long (at offset 2)")
+
+    def test_inline_gate_matrix(self, tmp_path, capsys):
+        text = f"width 1\nlevel\ngate [[0 1][{self.DIGITS} 0]] 1\ninput basis 0\n"
+        path = write(tmp_path, "big.array", text)
+        assert main(["simulate", path]) == 3
+        assert "line 3:" in self.one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "width 1\nlevel\ngate not " + DIGITS + "\ninput basis 0\n",
+            "width " + DIGITS + "\n",
+            "width 1\nlevel\ngate not \u00b2\ninput basis 0\n",
+            "width \u00b2\n",
+        ],
+        ids=["wire", "width", "superscript-wire", "superscript-width"],
+    )
+    def test_array_integers(self, tmp_path, capsys, text):
+        path = write(tmp_path, "big.array", text)
+        assert main(["simulate", path]) == 3
+        assert "line" in self.one_error_line(capsys)
 
 
 class TestInternalErrors:

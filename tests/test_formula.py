@@ -226,6 +226,10 @@ PARSE_ERRORS = [
     ("[[1+i]]", "qi", "invalid Gaussian-rational scalar '1+i'", 2),
     ("[[1/2+1/0i]]", "qi", "zero denominator in '1/0'", 2),
     ("[[1/2-1/2i 3j]]", "qi", "invalid Gaussian-rational scalar '3j'", 11),
+    ("[[" + "1" * 5000 + "]]", "q", "integer of 5000 digits is too long", 2),
+    ("([[1]]*[[-" + "7" * 4400 + "/2]])", "q", "integer of 4400 digits is too long", 9),
+    ("[[1/" + "3" * 4400 + "]]", "qplus", "integer of 4400 digits is too long", 2),
+    ("[[0 1/2+" + "5" * 4400 + "i]]", "qi", "integer of 4400 digits is too long", 4),
 ]
 
 

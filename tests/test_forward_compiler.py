@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sft_tensor.circuit import (
     Gate,
@@ -30,6 +32,7 @@ from sft_tensor.forward_compiler import (
     identity_formula,
     input_vector_formula,
     level_matrix_formula,
+    odd_even_rounds,
 )
 from sft_tensor.linalg import Matrix, basis_vector, identity, mat_mul
 from sft_tensor.semiring import Tag, make_scalar
@@ -67,6 +70,12 @@ def formula_depth(f):
     if isinstance(f, Atom):
         return 0
     return 1 + max(formula_depth(f.left), formula_depth(f.right))
+
+
+def atom_count(f):
+    if isinstance(f, Atom):
+        return 1
+    return atom_count(f.left) + atom_count(f.right)
 
 
 class TestCycleFormula:
@@ -268,6 +277,92 @@ class TestCompileArray:
                 math.ceil(math.log2(depth_levels)) if depth_levels > 1 else 0
             ) + 2 + 3 * math.ceil(math.log2(width))
             assert formula_depth(f) <= bound
+
+
+@st.composite
+def arrangement_pairs(draw):
+    labels = list(range(1, draw(st.integers(1, 10)) + 1))
+    return draw(st.permutations(labels)), draw(st.permutations(labels))
+
+
+class TestOddEvenRounds:
+    @settings(max_examples=300, deadline=None)
+    @given(arrangement_pairs())
+    def test_rounds_take_start_to_target(self, pair):
+        start, target = pair
+        rounds = odd_even_rounds(start, target)
+        assert len(rounds) <= len(start)
+        current = list(start)
+        for swaps in rounds:
+            assert swaps
+            assert all(1 <= p < len(start) for p in swaps)
+            # Increasing and at least two apart: the swapped pairs are disjoint.
+            assert all(b - a >= 2 for a, b in zip(swaps, swaps[1:]))
+            for p in swaps:
+                current[p - 1], current[p] = current[p], current[p - 1]
+        assert current == list(target)
+
+    def test_sorted_start_needs_no_round(self):
+        assert odd_even_rounds([3, 1, 2], [3, 1, 2]) == []
+
+    def test_reversal_takes_n_rounds(self):
+        n = 6
+        rounds = odd_even_rounds(list(range(1, n + 1)), list(range(n, 0, -1)))
+        assert len(rounds) == n
+
+    def test_rejects_other_labels(self):
+        with pytest.raises(ValidationError):
+            odd_even_rounds([1, 2, 3], [1, 2, 4])
+
+
+class TestMergedRouting:
+    @pytest.mark.parametrize("tag", [Q, Tag.BOOLEAN], ids=lambda t: t.value)
+    def test_random_arrays_match_simulate(self, tag):
+        rng = random.Random(11)
+        for width in range(2, 10):
+            for _ in range(3):
+                arr = rand_array(rng, width, rng.randrange(1, 7), tag)
+                f = compile_array_to_formula(arr)
+                assert is_sum_free(f)
+                if width <= 5:
+                    inputs = range(1 << width)
+                else:
+                    inputs = [rng.randrange(1 << width) for _ in range(6)]
+                for x in inputs:
+                    bits = format(x, f"0{width}b")
+                    got = evaluate(Prod(f, input_vector_formula(bits, tag)))
+                    want = simulate(arr, StateVector.basis(width, bits, tag))
+                    assert got == want.amplitudes
+                if width > 7:
+                    continue  # dense 2^n x 2^n level operators get slow
+                for i, level in enumerate(arr.levels, start=1):
+                    plan = adjacency_normalize(level, width, tag)
+                    assert evaluate(plan.formula) == level_operator(arr, i)
+
+    def test_atom_count_bound(self):
+        # At most n rounds before each level and after the last, n atoms
+        # per chain: n * (L + (L + 1) * n) atoms for L levels on n wires.
+        rng = random.Random(12)
+        for _ in range(40):
+            width = rng.randrange(1, 10)
+            depth = rng.randrange(1, 9)
+            arr = rand_array(rng, width, depth)
+            f = compile_array_to_formula(arr)
+            assert atom_count(f) <= width * (depth + (depth + 1) * width)
+
+    def test_wires_stay_routed_between_levels(self):
+        # Both levels want wires 1 and 4 together: one route there, none
+        # between the levels, one route back; each of the six chains is one
+        # two-wire atom and two I_2 atoms.
+        level = (Gate((1, 4), builtin_gate("cnot", Q)),)
+        arr = GateArray(Q, 4, (level, (), level))
+        f = compile_array_to_formula(arr)
+        assert atom_count(f) == 6 * 3
+        assert evaluate(f) == identity(16, Q)
+
+    def test_gateless_array_is_identity_formula(self):
+        arr = GateArray(Q, 3, ((), ()))
+        assert compile_array_to_formula(arr) == identity_formula(3, Q)
 
 
 class TestInputVectorFormula:
