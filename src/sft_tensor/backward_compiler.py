@@ -24,6 +24,10 @@ compose, so the recursion maintains it deliberately.
 Two consumers sit on top.  formula_to_array reads the padded tree as a
 gate array: square atoms become gates, column atoms become input
 amplitude blocks, products compose sequentially, tensors in parallel.
+Wires are assigned top-down, once per gate: the root owns wires 1..n, a
+tensor splits its wires between its factors at the left factor's row
+bits, and a product hands its right factor the left factor's open
+(column) wires, so every gate is built on its final wires.
 pad_formula_with_denominators additionally rewrites column atoms whose
 entries have non-power-of-2 denominators, appending integer square terms
 that restore the unit norm at denominator pi(d); the decision value of
@@ -399,81 +403,46 @@ def pad_formula_with_denominators(f: Formula, k: int):
 
 @dataclass(frozen=True)
 class _Rep:
-    """Array-shaped reading of a padded subformula.
+    """Array-shaped reading of a padded subformula on its final wires.
 
-    wires counts the output wires (value has 2^wires rows); open lists,
-    in column-bit order, the wires still accepting input; blocks carry
-    amplitude vectors for closed wires; levels is the gate schedule; the
-    value equals phase times the array semantics.  1x1 subformulas only
-    contribute phase.
+    open lists, in column-bit order, the wires still accepting input;
+    blocks carry amplitude vectors for closed wires; levels is the gate
+    schedule; the value equals phase times the array semantics.  1x1
+    subformulas only contribute phase.
     """
 
-    wires: int
     open: tuple
     blocks: tuple
     levels: tuple
     phase: Scalar
 
 
-def _shift_rep(rep: _Rep, mapping) -> _Rep:
-    blocks = tuple(
-        (tuple(mapping[w] for w in ws), vec) for ws, vec in rep.blocks
-    )
-    levels = tuple(
-        tuple(Gate(tuple(mapping[w] for w in g.wires), g.matrix) for g in level)
-        for level in rep.levels
-    )
-    return _Rep(
-        rep.wires,
-        tuple(mapping[w] for w in rep.open),
-        blocks,
-        levels,
-        rep.phase,
-    )
-
-
-def _rep(f: Formula, tag: Tag) -> _Rep:
-    one = scalar_one(tag)
+def _rep(f: Formula, wires: tuple) -> _Rep:
+    """Read f with its output bits on the given global wires, most
+    significant first; each gate is built once, on the wires it keeps."""
     if isinstance(f, Atom):
         m = f.matrix
         if m.rows == 1 and m.cols == 1:
-            return _Rep(0, (), (), (), m.at(0, 0))
-        w = _log2(m.rows)
-        wires = tuple(range(1, w + 1))
+            return _Rep((), (), (), m.at(0, 0))
         if m.cols == 1:
-            return _Rep(w, (), ((wires, tuple(m.entries)),), (), one)
-        return _Rep(w, wires, (), ((Gate(wires, m),),), one)
-
-    h = _rep(f.left, tag)
-    k = _rep(f.right, tag)
-    phase = scalar_mul(h.phase, k.phase)
+            return _Rep((), ((wires, tuple(m.entries)),), (), scalar_one(m.tag))
+        return _Rep(wires, (), ((Gate(wires, m),),), scalar_one(m.tag))
 
     if isinstance(f, Tensor):
-        mapping = {w: w + h.wires for w in range(1, k.wires + 1)}
-        ks = _shift_rep(k, mapping)
-        levels = tuple(
-            tuple(a) + tuple(b)
-            for a, b in zip_longest(h.levels, ks.levels, fillvalue=())
-        )
-        return _Rep(
-            h.wires + k.wires,
-            h.open + ks.open,
-            h.blocks + ks.blocks,
-            levels,
-            phase,
-        )
+        split = _log2(f.left.order[0])
+        h = _rep(f.left, wires[:split])
+        k = _rep(f.right, wires[split:])
+        pairs = zip_longest(h.levels, k.levels, fillvalue=())
+        levels = tuple(a + b for a, b in pairs)
+        phase = scalar_mul(h.phase, k.phase)
+        return _Rep(h.open + k.open, h.blocks + k.blocks, levels, phase)
 
     # Product: the right factor runs first, on the left factor's open
     # wires (its output bits feed the left factor's column bits).
-    mapping = {i: h.open[i - 1] for i in range(1, k.wires + 1)}
-    ks = _shift_rep(k, mapping)
-    return _Rep(
-        h.wires,
-        ks.open,
-        h.blocks + ks.blocks,
-        ks.levels + h.levels,
-        phase,
-    )
+    h = _rep(f.left, wires)
+    k = _rep(f.right, h.open)
+    phase = scalar_mul(h.phase, k.phase)
+    return _Rep(k.open, h.blocks + k.blocks, k.levels + h.levels, phase)
 
 
 def padded_to_array(padded: Formula):
@@ -483,21 +452,22 @@ def padded_to_array(padded: Formula):
     that amplitude.  It is built from the column blocks, which partition
     the wires, so no other index is visited.
     """
-    rep = _rep(padded, padded.tag)
-    if rep.wires == 0:
+    width = _log2(padded.order[0])
+    if width == 0:
         raise ValidationError(
             "formula value is a single scalar; there is no wire to build an array on"
         )
+    rep = _rep(padded, tuple(range(1, width + 1)))
     support = {0: rep.phase}
     for ws, vec in rep.blocks:
-        masks = wire_masks(ws, rep.wires)
+        masks = wire_masks(ws, width)
         support = {
             g | masks[j]: scalar_mul(a, v)
             for g, a in support.items()
             for j, v in enumerate(vec)
             if not v.is_zero()
         }
-    return GateArray(padded.tag, rep.wires, rep.levels), support
+    return GateArray(padded.tag, width, rep.levels), support
 
 
 def formula_to_array(f: Formula):

@@ -78,6 +78,13 @@ _BUILTIN_PERMS = {
 
 BUILTIN_GATE_NAMES = ("not", "cnot", "swap", "toffoli", "fredkin", "rot35")
 
+_PERM_NAMES = {perm: name for name, perm in _BUILTIN_PERMS.items()}
+# rot35, the one builtin that is not a permutation, where negatives exist.
+_ROT35 = {
+    t: parse_formula("[[3/5 4/5][-4/5 3/5]]", t).matrix
+    for t in (Tag.RATIONAL, Tag.GAUSSIAN_RATIONAL)
+}
+
 
 def builtin_gate(name: str, tag: Tag) -> Matrix:
     """The library gate matrix under the given tag.
@@ -88,11 +95,9 @@ def builtin_gate(name: str, tag: Tag) -> Matrix:
     if name in _BUILTIN_PERMS:
         return Matrix.from_perm(tag, list(_BUILTIN_PERMS[name]))
     if name == "rot35":
-        if tag in (Tag.BOOLEAN, Tag.NONNEG_RATIONAL):
-            raise ValidationError(
-                f"rot35 has negative entries and no {tag.value} form"
-            )
-        return parse_formula("[[3/5 4/5][-4/5 3/5]]", tag).matrix
+        if tag not in _ROT35:
+            raise ValidationError(f"rot35 has negative entries and no {tag.value} form")
+        return _ROT35[tag]
     raise ValidationError(f"unknown gate name {name!r}")
 
 
@@ -458,13 +463,16 @@ def parse_gate_array(text: str, tag: Tag):
 
 
 def _gate_spec(gate: Gate, tag: Tag) -> str:
-    for name in BUILTIN_GATE_NAMES:
-        try:
-            if builtin_gate(name, tag) == gate.matrix:
-                return name
-        except ValidationError:
-            continue
-    return render_formula(Atom(gate.matrix))
+    """The builtin name of the gate's matrix under tag, else the inline
+    matrix."""
+    m = gate.matrix
+    if m.tag is tag:
+        perm = m.perm_or_none()
+        if perm in _PERM_NAMES:
+            return _PERM_NAMES[perm]
+        if perm is None and tag in _ROT35 and m == _ROT35[tag]:
+            return "rot35"
+    return render_formula(Atom(m))
 
 
 def render_gate_array(c: GateArray, state: StateVector | None = None) -> str:

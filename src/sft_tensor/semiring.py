@@ -202,12 +202,34 @@ def parse_scalar(token: str, tag: Tag) -> Scalar:
     return Scalar(tag, value)
 
 
+_CHUNK = 10**600  # below the least digit limit the interpreter accepts
+
+
+def _long_int_text(n: int) -> str:
+    """Decimal text of an integer past the interpreter's digit limit,
+    split off 600 digits at a time with divmod."""
+    rest, chunks = abs(n), []
+    while rest >= _CHUNK:
+        rest, chunk = divmod(rest, _CHUNK)
+        chunks.append(f"{chunk:0600d}")
+    return ("-" if n < 0 else "") + str(rest) + "".join(reversed(chunks))
+
+
 def _render_fraction(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    # str() stays the common case: rendering every integer through
+    # _long_int_text costs about three times as much per scalar, and
+    # rendering is a visible share of compiling a dense formula.
+    try:
+        return str(f)  # "n", or "n/d" in lowest terms
+    except ValueError:  # an integer past the interpreter's digit limit
+        num, den = _long_int_text(f.numerator), _long_int_text(f.denominator)
+        return num if f.denominator == 1 else f"{num}/{den}"
 
 
 def render_scalar(a: Scalar) -> str:
-    """Canonical token for a scalar; parse_scalar inverts it exactly."""
+    """Canonical token for a scalar; parse_scalar inverts it exactly within
+    the parser's digit limit.  Longer integers still render, but reading
+    them back is a parse error (exit 3 on the command line)."""
     if a.tag is Tag.BOOLEAN:
         return "1" if a.re == 1 else "0"
     if a.im == 0:

@@ -17,7 +17,7 @@ from sft_tensor.backward_compiler import (
     pow2_ceil,
     transpose_formula,
 )
-from sft_tensor.circuit import StateVector, builtin_gate, simulate
+from sft_tensor.circuit import Gate, StateVector, builtin_gate, simulate
 from sft_tensor.errors import ValidationError
 from sft_tensor.formula import Atom, Prod, Sum, Tensor, evaluate
 from sft_tensor.linalg import (
@@ -411,6 +411,43 @@ class TestFormulaToArray:
         array, state = formula_to_array(f)
         assert state.basis_bits() == "10"
         assert simulate(array, state).basis_bits() == "11"
+
+    def test_wires_assigned_through_closed_wires(self):
+        # (rot35 # v) * u: the tensor closes wire 2 with v, so u, read
+        # after it, lands on the tensor's open wire 1, not on wire 2.
+        rot = builtin_gate("rot35", Q)
+        v, u = col(["3/5", "4/5"]), col(["5/13", "12/13"])
+        f = Prod(Tensor(Atom(rot), Atom(v)), Atom(u))
+        array, state = formula_to_array(f)
+        assert array.levels == ((Gate((1,), rot),),)
+        assert state.amplitudes == kronecker(u, v)
+
+    # Products whose left factor has closed wires, so its open wires are
+    # not its output wires; the right factor must run on the open ones.
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda rot, v, u, toff, cnot: Prod(
+                Prod(toff, Tensor(v, cnot)), Tensor(u, v)
+            ),
+            lambda rot, v, u, toff, cnot: Prod(
+                Tensor(Prod(cnot, Tensor(rot, u)), rot), Tensor(v, u)
+            ),
+            lambda rot, v, u, toff, cnot: Prod(
+                Prod(Tensor(cnot, rot), Tensor(u, Tensor(rot, v))),
+                Prod(rot, u),
+            ),
+        ],
+        ids=["prod-left", "tensor-left", "prod-of-tensors"],
+    )
+    def test_simulation_matches_with_closed_wires(self, build):
+        atoms = [builtin_gate("rot35", Q), col(["3/5", "4/5"])]
+        atoms += [col(["5/13", "-12/13"]), builtin_gate("toffoli", Q)]
+        atoms.append(mat_mul(builtin_gate("cnot", Q), builtin_gate("swap", Q)))
+        f = build(*(Atom(m) for m in atoms))
+        array, state = formula_to_array(f)
+        padded_value = evaluate(pad_formula(f).padded, entry_cap=BIG_CAP)
+        assert simulate(array, state).amplitudes == padded_value
 
     def test_rejects_scalar_formula(self):
         with pytest.raises(ValidationError):

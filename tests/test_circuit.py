@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sft_tensor.circuit import (
+    BUILTIN_GATE_NAMES,
     Gate,
     GateArray,
     StateVector,
@@ -18,12 +19,14 @@ from sft_tensor.circuit import (
     validate_array,
 )
 from sft_tensor.errors import ParseError, TagMismatchError, ValidationError
+from sft_tensor.formula import Atom, render_formula
 from sft_tensor.linalg import Matrix, basis_vector, identity, is_unit_column, mat_mul
 from sft_tensor.semiring import Tag, make_scalar
 
 from generators import rand_array
 
 Q = Tag.RATIONAL
+QI = Tag.GAUSSIAN_RATIONAL
 B = Tag.BOOLEAN
 
 
@@ -315,6 +318,66 @@ class TestTextFormat:
         assert "[[" in text
         again, _ = parse_gate_array(text, Q)
         assert again == arr
+
+    # Every builtin in every tag where it exists, written inline.
+    @pytest.mark.parametrize(
+        "name, tag",
+        [
+            (name, tag)
+            for name in BUILTIN_GATE_NAMES
+            for tag in Tag
+            if name != "rot35" or tag in (Q, QI)
+        ],
+        ids=lambda v: v.value if isinstance(v, Tag) else v,
+    )
+    def test_inline_builtin_renders_by_name(self, name, tag):
+        matrix = builtin_gate(name, tag)
+        width = matrix.rows.bit_length() - 1
+        wires = " ".join(str(w) for w in range(1, width + 1))
+        inline = render_formula(Atom(matrix))
+        text = f"width {width}\nlevel\ngate {inline} {wires}\n"
+        arr, _ = parse_gate_array(text, tag)
+        assert render_gate_array(arr) == f"width {width}\nlevel\ngate {name} {wires}\n"
+
+    @pytest.mark.parametrize(
+        "wires, matrix",
+        [
+            ((3, 1, 2), builtin_gate("toffoli", Q)),
+            ((2, 3, 1), builtin_gate("fredkin", Q)),
+            ((1,), identity(2, Q)),
+            ((1, 2), identity(4, Q)),
+            ((1, 2, 3), Matrix.from_perm(Q, [0, 1, 4, 5, 2, 3, 6, 7])),
+            ((1,), mx([["3/5", "-4/5"], ["4/5", "3/5"]])),
+        ],
+        ids=["toffoli-312", "fredkin-231", "i2", "i4", "swap-i", "rot35-t"],
+    )
+    def test_other_matrix_renders_inline(self, wires, matrix):
+        arr = GateArray(Q, 3, ((Gate(wires, matrix),),))
+        gate_line = render_gate_array(arr).splitlines()[2]
+        assert gate_line.startswith("gate [[")
+        again, _ = parse_gate_array(render_gate_array(arr), Q)
+        assert again == arr
+
+    # A builtin-equal matrix whose tag is not the array's renders inline.
+    @pytest.mark.parametrize(
+        "name, matrix_tag, array_tag",
+        [
+            ("not", B, Q),
+            ("cnot", Q, B),
+            ("toffoli", Tag.NONNEG_RATIONAL, Q),
+            ("fredkin", Q, QI),
+            ("rot35", Q, QI),
+            ("rot35", QI, Q),
+            ("rot35", Q, Tag.NONNEG_RATIONAL),
+            ("rot35", Q, B),
+        ],
+        ids=lambda v: v.value if isinstance(v, Tag) else v,
+    )
+    def test_other_tag_renders_inline(self, name, matrix_tag, array_tag):
+        matrix = builtin_gate(name, matrix_tag)
+        wires = tuple(range(1, matrix.rows.bit_length()))
+        arr = GateArray(array_tag, 3, ((Gate(wires, matrix),),))
+        assert render_gate_array(arr).splitlines()[2].startswith("gate [[")
 
     def test_amps_input(self):
         text = "width 1\nlevel\ngate rot35 1\ninput amps [[3/5][-4/5]]\n"

@@ -258,6 +258,23 @@ class TestHugeIntegers:
         assert main(["simulate", path]) == 3
         assert "line" in self.one_error_line(capsys)
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="the interpreter has no integer digit limit",
+    )
+    def test_value_past_digit_limit_renders(self, tmp_path, capsys):
+        ones = "1" * 3000
+        path = write(tmp_path, "square.formula", f"([[{ones}]]*[[{ones}]])\n")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            digits = str(int(ones) ** 2)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(digits) > limit
+        assert main(["eval", path]) == 0
+        assert capsys.readouterr().out == f"[[{digits}]]\n"
+
 
 class TestInternalErrors:
     # 3000 NOT gates on e_2: a valid OSL formula whose value is e_2 (accept
