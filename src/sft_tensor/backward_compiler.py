@@ -19,7 +19,7 @@ or e_2^1 factors (right); the mismatch ratio is always a power of 2.
 The padded tree keeps a stronger invariant than the headline equation:
 every subformula value is exactly block diagonal, [[val, 0], [0, junk]].
 The top-right zero block is what makes the product and tensor cases
-compose, so the recursion maintains it deliberately.
+compose, so the padding pass maintains it deliberately.
 
 Two consumers sit on top.  formula_to_array reads the padded tree as a
 gate array: square atoms become gates, column atoms become input
@@ -52,6 +52,7 @@ from .formula import (
     balanced_prod,
     balanced_tensor,
     check_osl,
+    walk,
 )
 from .linalg import (
     Matrix,
@@ -62,7 +63,7 @@ from .linalg import (
     is_unit_column,
     stride_permutation,
 )
-from .semiring import Scalar, Tag, make_scalar, scalar_mul, scalar_one, scalar_zero
+from .semiring import Tag, make_scalar, scalar_mul, scalar_one, scalar_zero
 
 __all__ = [
     "DenominatorPad",
@@ -114,14 +115,18 @@ def pad_atom(a: Matrix) -> Matrix:
 
 def transpose_formula(f: Formula) -> Formula:
     """Formula-level conjugate transpose: reverse products, transpose
-    atoms, recurse through tensors."""
+    atoms, keep the order of tensor and sum factors."""
+    return walk(_transpose(f))
+
+
+def _transpose(f: Formula):
     if isinstance(f, Atom):
         return Atom(conj_transpose(f.matrix))
+    left = yield _transpose(f.left)
+    right = yield _transpose(f.right)
     if isinstance(f, Prod):
-        return Prod(transpose_formula(f.right), transpose_formula(f.left))
-    if isinstance(f, Tensor):
-        return Tensor(transpose_formula(f.left), transpose_formula(f.right))
-    return type(f)(transpose_formula(f.left), transpose_formula(f.right))
+        return Prod(right, left)
+    return type(f)(left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +207,7 @@ def kron_fix_permutations(
 
 
 # ---------------------------------------------------------------------------
-# The padding recursion
+# The padding pass
 
 
 @dataclass(frozen=True)
@@ -217,7 +222,9 @@ def _default_column_pad(m: Matrix):
 
 
 def _pad(f: Formula, column_pad):
-    """Recursive padding; returns (padded, true_rows, true_cols).
+    """Padding pass for walk, one call per occurrence of each node, so
+    column_pad sees every occurrence of a shared column atom; returns
+    (padded, true_rows, true_cols).
 
     Only the structure and the atoms of f are consulted, never its cached
     orders, so trees whose orders were knocked out by an earlier atom
@@ -230,10 +237,12 @@ def _pad(f: Formula, column_pad):
             padded_matrix, true_rows = column_pad(m)
             return Atom(padded_matrix), true_rows, 1
         return Atom(pad_atom(m)), m.rows, m.cols
+    if not isinstance(f, (Tensor, Prod)):
+        raise ValidationError("padding is defined for sum-free formulas only")
+    ph, rh, ch = yield _pad(f.left, column_pad)
+    pk, rk, ck = yield _pad(f.right, column_pad)
 
     if isinstance(f, Tensor):
-        ph, rh, ch = _pad(f.left, column_pad)
-        pk, rk, ck = _pad(f.right, column_pad)
         padded = Tensor(ph, pk)
         row_fix = _row_fix(rh, ph.order[0], rk, pk.order[0], tag)
         if row_fix is not None:
@@ -243,22 +252,17 @@ def _pad(f: Formula, column_pad):
             padded = Prod(padded, transpose_formula(col_fix))
         return padded, rh * rk, ch * ck
 
-    if isinstance(f, Prod):
-        ph, rh, ch = _pad(f.left, column_pad)
-        pk, rk, ck = _pad(f.right, column_pad)
-        inner_left = ph.order[1]
-        inner_right = pk.order[0]
-        if inner_left == inner_right:
-            return Prod(ph, pk), rh, ck
-        if inner_left < inner_right:
-            i = _log2(inner_right // inner_left)
-            wide = Tensor(_identity_pow2_formula(i, tag), ph)
-            return Prod(wide, pk), rh, ck
-        i = _log2(inner_left // inner_right)
-        top = balanced_tensor([Atom(basis_vector(2, 1, tag))] * i)
-        return Prod(ph, Tensor(top, pk)), rh, ck
-
-    raise ValidationError("padding is defined for sum-free formulas only")
+    inner_left = ph.order[1]
+    inner_right = pk.order[0]
+    if inner_left == inner_right:
+        return Prod(ph, pk), rh, ck
+    if inner_left < inner_right:
+        i = _log2(inner_right // inner_left)
+        wide = Tensor(_identity_pow2_formula(i, tag), ph)
+        return Prod(wide, pk), rh, ck
+    i = _log2(inner_left // inner_right)
+    top = balanced_tensor([Atom(basis_vector(2, 1, tag))] * i)
+    return Prod(ph, Tensor(top, pk)), rh, ck
 
 
 def pad_formula(f: Formula, checked: bool = True) -> PaddedFormula:
@@ -270,7 +274,7 @@ def pad_formula(f: Formula, checked: bool = True) -> PaddedFormula:
     """
     if checked:
         check_osl(f).raise_unless_osl()
-    padded, true_rows, _ = _pad(f, _default_column_pad)
+    padded, true_rows, _ = walk(_pad(f, _default_column_pad))
     return PaddedFormula(original=f, padded=padded, block_length=true_rows)
 
 
@@ -377,7 +381,7 @@ def pad_formula_with_denominators(f: Formula, k: int):
         deltas.append(pad.scale)
         return pad_atom(pad.padded), m.rows
 
-    padded, true_rows, _ = _pad(f, column_pad)
+    padded, true_rows, _ = walk(_pad(f, column_pad))
     n_out = true_rows
     total = padded.order[0]
     k_eff = min(k, n_out)
@@ -407,42 +411,38 @@ class _Rep:
 
     open lists, in column-bit order, the wires still accepting input;
     blocks carry amplitude vectors for closed wires; levels is the gate
-    schedule; the value equals phase times the array semantics.  1x1
-    subformulas only contribute phase.
+    schedule.  A 1x1 subformula is a block on no wires: its value scales
+    every amplitude.
     """
 
     open: tuple
     blocks: tuple
     levels: tuple
-    phase: Scalar
 
 
-def _rep(f: Formula, wires: tuple) -> _Rep:
-    """Read f with its output bits on the given global wires, most
-    significant first; each gate is built once, on the wires it keeps."""
+def _rep(f: Formula, wires: tuple):
+    """Pass for walk: read f with its output bits on the given global
+    wires, most significant first; each gate is built once, on the wires
+    it keeps."""
     if isinstance(f, Atom):
         m = f.matrix
-        if m.rows == 1 and m.cols == 1:
-            return _Rep((), (), (), m.at(0, 0))
         if m.cols == 1:
-            return _Rep((), ((wires, tuple(m.entries)),), (), scalar_one(m.tag))
-        return _Rep(wires, (), ((Gate(wires, m),),), scalar_one(m.tag))
+            return _Rep((), ((wires, tuple(m.entries)),), ())
+        return _Rep(wires, (), ((Gate(wires, m),),))
 
     if isinstance(f, Tensor):
         split = _log2(f.left.order[0])
-        h = _rep(f.left, wires[:split])
-        k = _rep(f.right, wires[split:])
+        h = yield _rep(f.left, wires[:split])
+        k = yield _rep(f.right, wires[split:])
         pairs = zip_longest(h.levels, k.levels, fillvalue=())
         levels = tuple(a + b for a, b in pairs)
-        phase = scalar_mul(h.phase, k.phase)
-        return _Rep(h.open + k.open, h.blocks + k.blocks, levels, phase)
+        return _Rep(h.open + k.open, h.blocks + k.blocks, levels)
 
     # Product: the right factor runs first, on the left factor's open
     # wires (its output bits feed the left factor's column bits).
-    h = _rep(f.left, wires)
-    k = _rep(f.right, h.open)
-    phase = scalar_mul(h.phase, k.phase)
-    return _Rep(k.open, h.blocks + k.blocks, k.levels + h.levels, phase)
+    h = yield _rep(f.left, wires)
+    k = yield _rep(f.right, h.open)
+    return _Rep(k.open, h.blocks + k.blocks, k.levels + h.levels)
 
 
 def padded_to_array(padded: Formula):
@@ -457,8 +457,8 @@ def padded_to_array(padded: Formula):
         raise ValidationError(
             "formula value is a single scalar; there is no wire to build an array on"
         )
-    rep = _rep(padded, tuple(range(1, width + 1)))
-    support = {0: rep.phase}
+    rep = walk(_rep(padded, tuple(range(1, width + 1))))
+    support = {0: scalar_one(padded.tag)}
     for ws, vec in rep.blocks:
         masks = wire_masks(ws, width)
         support = {

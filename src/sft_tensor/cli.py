@@ -7,8 +7,7 @@ so identical inputs and flags produce byte-identical output.
 
 Exit codes: 0 success (or SFT accept), 1 SFT reject, 2 usage error,
 3 parse or validation error, 4 entry cap exceeded, 5 internal error (any
-other failure, for example a formula nested too deeply to process), so
-that a crash never reads as a verdict.
+other failure), so that a crash never reads as a verdict.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .formula import (
     check_osl,
     diameter,
     evaluate,
-    is_sum_free,
     parse_formula,
     render_formula,
     size,
@@ -141,7 +139,7 @@ def cmd_validate(args) -> int:
     print(f"order {rows}x{cols}")
     print(f"size {size(f)}")
     print(f"diameter {diameter(f)}")
-    print(f"sum-free {'yes' if is_sum_free(f) else 'no'}")
+    print(f"sum-free {'yes' if report.is_sum_free else 'no'}")
     print(f"osl {'yes' if report.is_osl else 'no'}")
     if args.require_osl and not report.is_osl:
         for path in report.offending_paths:

@@ -20,11 +20,14 @@ renderer always emits one space between entries.  In strict mode
 malformed or invalid text is an error with the offset of its first
 fault; in paper mode it denotes the trivial 1x1 zero formula.
 
-Parsing is iterative: one loop keeps a stack of open parentheses, so
-nesting depth is bounded by memory, not by Python's recursion limit.
-Each row is matched by one regex and its tokens are read with finditer;
-scan_atom is the only atom scanner in the package (the gate-array
-format's inline matrices use it too).
+No pass recurses, so nesting depth is bounded by memory, not by
+Python's recursion limit.  Parsing is one loop over a stack of open
+parentheses.  Every other pass over a tree, here and in the backward
+compiler, is a generator run by walk.  A subformula's position is a
+linked (parent, "/L" or "/R") pair, made into path text only when an
+error or a report names it.  Each row is matched by one regex and its
+tokens are read with finditer; scan_atom is the only atom scanner in
+the package (the gate-array format's inline matrices use it too).
 
 Evaluation is post-order, left child first.  Every node's order,
 including atoms', is checked against an entry cap before any work on that
@@ -43,8 +46,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import CapExceededError, ParseError, TagMismatchError, ValidationError
 from .linalg import (
@@ -167,12 +169,52 @@ def trivial_formula(tag: Tag) -> Formula:
     return Atom(zero_matrix(1, 1, tag))
 
 
-def _subformulas(f: Formula, path: str = "") -> Iterator[tuple]:
-    """Pre-order traversal yielding (node, path); children are /L and /R."""
-    yield f, path
-    if isinstance(f, _Binary):
-        yield from _subformulas(f.left, path + "/L")
-        yield from _subformulas(f.right, path + "/R")
+def walk(call):
+    """Run a pass to completion without recursion and return its result.
+
+    A pass is a generator function called once per node: it yields each
+    child call, ``left = yield visit(f.left, ...)``, is sent that call's
+    result, and returns its own.  Calls run in the order yielded, so a
+    child's arguments may depend on an earlier child's result.
+    """
+    stack = []
+    value = None
+    while True:
+        try:
+            child = call.send(value)
+        except StopIteration as done:
+            if not stack:
+                return done.value
+            call = stack.pop()
+            value = done.value
+        else:
+            stack.append(call)
+            call = child
+            value = None
+
+
+def _path_text(pos) -> str:
+    """A position as text: positions are a root path string or a linked
+    (parent position, "/L" or "/R") pair, rendered only when reported."""
+    sides = []
+    while type(pos) is tuple:
+        pos, side = pos
+        sides.append(side)
+    return pos + "".join(reversed(sides))
+
+
+def _subformulas(f: Formula) -> list:
+    """Every (node, position) of f in pre-order; children are /L and /R."""
+    out = []
+
+    def visit(node, pos):
+        out.append((node, pos))
+        if isinstance(node, _Binary):
+            yield visit(node.left, (pos, "/L"))
+            yield visit(node.right, (pos, "/R"))
+
+    walk(visit(f, ""))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +325,11 @@ def _parse(text: str, tag: Tag) -> Formula:
 
 def _first_invalid_path(f: Formula) -> str:
     """Path of the shallowest-leftmost node that breaks order synthesis."""
-    for node, path in _subformulas(f):
+    for node, pos in _subformulas(f):
         if node.is_valid:
             continue
         if isinstance(node, _Binary) and node.left.is_valid and node.right.is_valid:
-            return path
+            return _path_text(pos)
     return ""
 
 
@@ -318,17 +360,22 @@ def parse_formula(text: str, tag: Tag, mode: str = "strict") -> Formula:
 
 def render_formula(f: Formula) -> str:
     """Fully parenthesised text; parse_formula round-trips it structurally."""
-    if isinstance(f, Atom):
-        m = f.matrix
-        return "[%s]" % "".join(
-            "[%s]" % " ".join(render_scalar(e) for e in m.row(r))
-            for r in range(m.rows)
-        )
-    return "(%s%s%s)" % (
-        render_formula(f.left),
-        _OP_CHAR[type(f)],
-        render_formula(f.right),
-    )
+    parts = []
+
+    def visit(node):
+        if isinstance(node, Atom):
+            m = node.matrix
+            rows = (" ".join(map(render_scalar, m.row(r))) for r in range(m.rows))
+            parts.append("[[%s]]" % "][".join(rows))
+            return
+        parts.append("(")
+        yield visit(node.left)
+        parts.append(_OP_CHAR[type(node)])
+        yield visit(node.right)
+        parts.append(")")
+
+    walk(visit(f))
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -337,19 +384,14 @@ def render_formula(f: Formula) -> str:
 
 def size(f: Formula) -> int:
     """Number of nodes: 1 for an atom, else 1 + sizes of both children."""
-    if isinstance(f, Atom):
-        return 1
-    return 1 + size(f.left) + size(f.right)
+    return len(_subformulas(f))
 
 
 def diameter(f: Formula) -> int:
     """Largest order component appearing anywhere in the formula."""
     if not f.is_valid:
         raise ValidationError("diameter of an invalid formula is undefined")
-    own = max(f.order)
-    if isinstance(f, Atom):
-        return own
-    return max(own, diameter(f.left), diameter(f.right))
+    return max(max(node.order) for node, _ in _subformulas(f))
 
 
 def is_sum_free(f: Formula) -> bool:
@@ -394,13 +436,13 @@ def check_osl(f: Formula) -> OslReport:
     offending = []
     sum_free = True
     inputs_ok = True
-    for node, path in _subformulas(f):
+    for node, pos in _subformulas(f):
         if isinstance(node, Sum):
             sum_free = False
-            offending.append(path)
+            offending.append(_path_text(pos))
         elif isinstance(node, Atom) and not _osl_atom_ok(node.matrix):
             inputs_ok = False
-            offending.append(path)
+            offending.append(_path_text(pos))
     column = f.order is not None and f.order[1] == 1
     return OslReport(sum_free, inputs_ok, column, tuple(sorted(offending)))
 
@@ -409,24 +451,27 @@ def check_osl(f: Formula) -> OslReport:
 # Evaluation
 
 
-def _checked_order(f: Formula, cap: int, path: str) -> None:
+_MAT_OP = {Sum: mat_add, Prod: mat_mul, Tensor: kronecker}
+
+
+def _checked_order(f: Formula, cap: int, pos) -> None:
     rows, cols = f.order
     if rows * cols > cap:
-        raise CapExceededError(path, rows, cols, cap)
+        raise CapExceededError(_path_text(pos), rows, cols, cap)
 
 
-def _eval(f: Formula, cap: int, path: str) -> Matrix:
+def _eval(f: Formula, cap: int, pos) -> Matrix:
+    return walk(_eval_node(f, cap, pos))
+
+
+def _eval_node(f: Formula, cap: int, pos):
     if isinstance(f, Atom):
-        _checked_order(f, cap, path)
+        _checked_order(f, cap, pos)
         return f.matrix
-    left = _eval(f.left, cap, path + "/L")
-    right = _eval(f.right, cap, path + "/R")
-    _checked_order(f, cap, path)
-    if isinstance(f, Sum):
-        return mat_add(left, right)
-    if isinstance(f, Prod):
-        return mat_mul(left, right)
-    return kronecker(left, right)
+    left = yield _eval_node(f.left, cap, (pos, "/L"))
+    right = yield _eval_node(f.right, cap, (pos, "/R"))
+    _checked_order(f, cap, pos)
+    return _MAT_OP[type(f)](left, right)
 
 
 # Column-valued formulas are evaluated vector first.  One post-order walk
@@ -436,8 +481,9 @@ def _eval(f: Formula, cap: int, path: str) -> Matrix:
 #     whose atoms are all permutations (a compact permutation unless the
 #     subtree holds a Sum);
 #   - a sparse column {row: nonzero Scalar}, for a column-valued node;
-#   - a function from sparse column to sparse column, for any other
-#     non-column subtree: that operator is applied, never built.
+#   - an operator, for any other non-column subtree: the Atom itself, or
+#     (node, left plan, right plan) for a binary node.  It is applied to
+#     columns by _apply, never built.
 #
 # A product with a column on its right applies its left plan to that
 # column, and a deferred Kronecker product is applied block by block.
@@ -468,95 +514,70 @@ def _vec_add(x: dict, y: dict) -> dict:
     return out
 
 
-def _scale_column(c: dict, x: dict) -> dict:
-    """The column c as a one-column operator applied to the 1-vector x."""
-    if 0 not in x:
-        return {}
-    s = x[0]
-    return {i: scalar_mul(a, s) for i, a in c.items()}
-
-
-def _apply_tensor(left, right, right_order, x: dict) -> dict:
-    """(L # R) x without forming L # R: R acts on each of x's blocks (one
-    per column of L), then L on each strided column of the results."""
-    rows, cols = right_order
+def _apply(plan, x: dict):
+    """A non-column plan, or a column taken as a one-column operator,
+    applied to the sparse column x."""
+    if type(plan) is Matrix:
+        return _mat_vec(plan, x)
+    if type(plan) is Atom:
+        return _mat_vec(plan.matrix, x)
+    if type(plan) is dict:
+        s = x.get(0)
+        return {} if s is None else {i: scalar_mul(a, s) for i, a in plan.items()}
+    f, left, right = plan
+    kind = type(f)
+    if kind is Prod:
+        return (yield _apply(left, (yield _apply(right, x))))
+    if kind is Sum:
+        return _vec_add((yield _apply(left, x)), (yield _apply(right, x)))
+    # (L # R) x without forming L # R: R acts on each of x's blocks (one
+    # per column of L), then L on each strided column of the results.
+    rows, cols = f.right.order
     blocks: dict = {}
     for k, v in x.items():
         i, j = divmod(k, cols)
         blocks.setdefault(i, {})[j] = v
     strided: dict = {}
     for i, block in blocks.items():
-        for j, v in right(block).items():
+        for j, v in (yield _apply(right, block)).items():
             strided.setdefault(j, {})[i] = v
     out = {}
     for j, column in strided.items():
-        for p, v in left(column).items():
+        for p, v in (yield _apply(left, column)).items():
             out[p * rows + j] = v
     return out
 
 
-def _as_operator(plan):
-    if isinstance(plan, Matrix):
-        return partial(_mat_vec, plan)
-    if isinstance(plan, dict):
-        return partial(_scale_column, plan)
-    return plan
-
-
-def _atom_plan(m: Matrix):
-    if m.cols == 1:
-        return {i: s for i, s in enumerate(m.entries) if not s.is_zero()}
-    if m.perm_or_none() is not None:
-        return m
-    return partial(_mat_vec, m)
-
-
-def _deferred_plan(f: _Binary, left, right):
-    kind = type(f)
-    if f.order[1] == 1:
-        if kind is Prod:
-            return _as_operator(left)(right)
-        if kind is Tensor:
-            rows = f.right.order[0]
-            return {
-                i * rows + j: scalar_mul(a, b)
-                for i, a in left.items()
-                for j, b in right.items()
-            }
-        return _vec_add(left, right)
-    lop, rop = _as_operator(left), _as_operator(right)
-    if kind is Prod:
-        return lambda x: lop(rop(x))
-    if kind is Tensor:
-        return partial(_apply_tensor, lop, rop, f.right.order)
-    return lambda x: _vec_add(lop(x), rop(x))
-
-
-def _plan(f: Formula, cap: int, path: str, plans: dict):
+def _plan(f: Formula, cap: int, pos, plans: dict):
     if type(f) is Atom:
+        _checked_order(f, cap, pos)
         m = f.matrix
-        if m.rows * m.cols > cap:
-            raise CapExceededError(path, m.rows, m.cols, cap)
-        return _atom_plan(m)
+        if m.cols == 1:
+            return {i: s for i, s in enumerate(m.entries) if not s.is_zero()}
+        return m if m.perm_or_none() is not None else f
     key = id(f)
     plan = plans.get(key)
     if plan is not None:
         return plan
-    left = _plan(f.left, cap, path + "/L", plans)
-    right = _plan(f.right, cap, path + "/R", plans)
-    rows, cols = f.order
-    if rows * cols > cap:
-        raise CapExceededError(path, rows, cols, cap)
+    left = yield _plan(f.left, cap, (pos, "/L"), plans)
+    right = yield _plan(f.right, cap, (pos, "/R"), plans)
+    _checked_order(f, cap, pos)
+    kind = type(f)
     if type(left) is Matrix and type(right) is Matrix:
-        kind = type(f)
-        if kind is Prod:
-            plan = mat_mul(left, right)
-        elif kind is Tensor:
-            plan = kronecker(left, right)
-        else:
-            plan = mat_add(left, right)
+        plan = _MAT_OP[kind](left, right)
+    elif f.order[1] != 1:
+        plan = (f, left, right)
+    elif kind is Prod:
+        plan = yield _apply(left, right)
+    elif kind is Tensor:
+        rows = f.right.order[0]
+        plan = {
+            i * rows + j: scalar_mul(a, b)
+            for i, a in left.items()
+            for j, b in right.items()
+        }
     else:
-        plan = _deferred_plan(f, left, right)
+        plan = _vec_add(left, right)
     plans[key] = plan
     return plan
 
@@ -565,7 +586,7 @@ def _eval_column(f: Formula, cap: int) -> Matrix:
     rows = f.order[0]
     zero = scalar_zero(f.tag)
     entries = [zero] * rows
-    for i, v in _plan(f, cap, "", {}).items():
+    for i, v in walk(_plan(f, cap, "", {})).items():
         entries[i] = v
     return Matrix(f.tag, rows, 1, tuple(entries))
 

@@ -1,4 +1,5 @@
-"""Seeded random instance builders shared by the test modules."""
+"""Seeded random instance builders and formula texts shared by the test
+modules."""
 
 import random
 from fractions import Fraction
@@ -179,3 +180,11 @@ def rand_osl_formula(
     basis vector, which pads and evaluates much faster."""
     formula, _ = _rand_column(rng, max_depth, max_rows, tag, dense)
     return formula
+
+
+def nested(side, factors, op="*"):
+    """factors joined by op in order, nested to the left or the right."""
+    n = len(factors) - 1
+    if side == "left":
+        return "(" * n + factors[0] + "".join(op + x + ")" for x in factors[1:])
+    return "".join("(" + x + op for x in factors[:-1]) + factors[-1] + ")" * n

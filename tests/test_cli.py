@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from generators import nested
+
 from sft_tensor.cli import main
 
 ROT_TEXT = "([[3/5 4/5][-4/5 3/5]] * [[1][0]])\n"
@@ -278,19 +280,75 @@ class TestHugeIntegers:
 
 class TestInternalErrors:
     # 3000 NOT gates on e_2: a valid OSL formula whose value is e_2 (accept
-    # at k=1), nested deeper than the recursive passes can go.
+    # at k=1), nested deeper than Python's recursion limit.
     DEEP = "([[0 1][1 0]] * " * 3000 + "[[0][1]]" + ")" * 3000
+    ANSWERS = {
+        "validate": "order 2x1\nsize 6001\ndiameter 2\nsum-free yes\nosl yes\n",
+        "eval": "[[0][1]]\n",
+        "sft": "value 1\nverdict accept\n",
+    }
 
     @pytest.mark.parametrize(
         "argv", [["validate"], ["eval"], ["sft", "--k", "1"]], ids=lambda a: a[0]
     )
     def test_deep_chain_is_never_a_reject(self, tmp_path, capsys, argv):
         path = write(tmp_path, "deep.formula", self.DEEP)
-        code = main(argv + [path])
-        err = capsys.readouterr().err
-        assert code != 1
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert main(argv + [path]) == 0
+        assert capsys.readouterr() == (self.ANSWERS[argv[0]], "")
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+class TestDeepChains:
+    """10^4 NOTs on e_2 answer as e_2 itself does, through every verb."""
+
+    DEPTH = 10_000
+    NOT = "[[0 1][1 0]]"
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("deep")
+        texts = {"shallow": "[[0][1]]"}
+        for side in ("left", "right"):
+            texts[side] = nested(side, [self.NOT] * self.DEPTH + ["[[0][1]]"])
+            texts[side + "-tensor"] = nested(side, [self.NOT] * self.DEPTH, "#")
+        for name, text in texts.items():
+            (base / name).write_text(text)
+        return base
+
+    def run(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize(
+        "verb", [["eval"], ["sft", "--k", "1"]], ids=lambda v: v[0]
+    )
+    def test_same_answer_as_shallow(self, files, side, verb):
+        deep = self.run(verb + ["--semiring", "bool", str(files / side)])
+        assert deep == self.run(verb + ["--semiring", "bool", str(files / "shallow")])
+        assert deep[0] == 0
+
+    def test_validate(self, files, side):
+        assert self.run(["validate", "--require-osl", str(files / side)]) == (
+            0, "order 2x1\nsize 20001\ndiameter 2\nsum-free yes\nosl yes\n", ""
+        )
+
+    def test_compile_formula(self, files, side):
+        code, out, err = self.run(["compile-formula", str(files / side)])
+        levels = "level\ngate not 1\n" * self.DEPTH
+        assert (code, out, err) == (0, f"width 1\n{levels}input basis 1\n", "")
+
+    def test_tensor_chain_past_cap(self, files, side):
+        # 13 NOTs make the deepest subformula whose order passes 2^24, and
+        # post-order reaches it first.
+        path = ("/" + side[0].upper()) * (self.DEPTH - 13)
+        code, out, err = self.run(["eval", str(files / (side + "-tensor"))])
+        assert (code, out) == (4, "")
+        assert err == (
+            f"error: subformula at {path} has order 8192x8192 (67108864 entries),"
+            " exceeding the cap of 16777216\n"
+        )
 
 
 # Entry tokens per semiring; "01" is a packed Boolean run, and the others
@@ -305,22 +363,23 @@ _SHAPES = [(1, 1), (2, 2), (2, 1), (1, 2), (3, 3), (4, 1)]
 _NOISE = "[]()+*#01 -/i\t\n\x0b3x"
 
 
+def _atom_text(draw, semiring):
+    tokens = st.sampled_from(_TOKENS[semiring])
+    rows, cols = draw(st.sampled_from(_SHAPES))
+    return "[%s]" % "".join(
+        "[%s]" % " ".join(draw(tokens) for _ in range(cols)) for _ in range(rows)
+    )
+
+
 @st.composite
 def fuzzed_formula(draw, semiring):
     """A small rendered formula, kept whole, truncated, mutated at one
     character, or replaced by random text; the noise characters are the
     grammar's own plus a vertical tab, a 3 and an x."""
-    tokens = st.sampled_from(_TOKENS[semiring])
-
-    def atom():
-        rows, cols = draw(st.sampled_from(_SHAPES))
-        return "[%s]" % "".join(
-            "[%s]" % " ".join(draw(tokens) for _ in range(cols)) for _ in range(rows)
-        )
 
     def formula(depth):
         if depth == 0 or draw(st.booleans()):
-            return atom()
+            return _atom_text(draw, semiring)
         op = draw(st.sampled_from("+*#"))
         return "(" + formula(depth - 1) + op + formula(depth - 1) + ")"
 
@@ -330,6 +389,26 @@ def fuzzed_formula(draw, semiring):
     )
     if kind == "random":
         return draw(st.text(alphabet=_NOISE, max_size=40))
+    return _mutated(draw, text, kind)
+
+
+@st.composite
+def deep_fuzzed_formula(draw, semiring):
+    """A chain nested 2500-5000 deep to one side, cycling through up to
+    three atoms and operators, then kept or mutated like fuzzed_formula."""
+    depth = draw(st.integers(2500, 5000))
+    atoms = [_atom_text(draw, semiring) for _ in range(draw(st.integers(1, 3)))]
+    ops = draw(st.lists(st.sampled_from("+*#"), min_size=1, max_size=3))
+    steps = [(ops[i % len(ops)], atoms[i % len(atoms)]) for i in range(1, depth + 1)]
+    if draw(st.booleans()):
+        text = "(" * depth + atoms[0] + "".join(op + a + ")" for op, a in steps)
+    else:
+        text = "".join("(" + a + op for op, a in steps) + atoms[0] + ")" * depth
+    kind = draw(st.sampled_from(["keep", "truncate", "delete", "insert", "replace"]))
+    return _mutated(draw, text, kind)
+
+
+def _mutated(draw, text, kind):
     if kind == "keep":
         return text
     at = draw(st.integers(0, len(text) - 1))
@@ -360,6 +439,31 @@ class TestFuzz:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(verb + ["--semiring", semiring, "--mode", mode, str(path)])
         assert code in (0, 3, 4), err.getvalue()
+        if code:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_deep_nesting_exit_code_and_one_error_line(self, tmp_path_factory, data):
+        semiring = data.draw(st.sampled_from(sorted(_TOKENS)))
+        text = data.draw(deep_fuzzed_formula(semiring))
+        verb = data.draw(
+            st.sampled_from(
+                [
+                    ["validate"],
+                    ["eval"],
+                    ["eval", "--max-entries", "8"],
+                    ["sft", "--k", "1"],
+                ]
+            )
+        )
+        path = tmp_path_factory.getbasetemp() / "deep-fuzz.formula"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(verb + ["--semiring", semiring, str(path)])
+        assert code in (0, 1, 3, 4), err.getvalue()
         if code:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from generators import nested
+
 from sft_tensor.errors import (
     CapExceededError,
     ParseError,
@@ -30,6 +32,13 @@ from sft_tensor.formula import (
     trivial_formula,
 )
 from sft_tensor.formula import _eval  # the multiplied-out reference
+from sft_tensor.backward_compiler import (
+    formula_to_array,
+    pad_formula_with_denominators,
+    transpose_formula,
+)
+from sft_tensor.circuit import simulate
+from sft_tensor.sft import SftInstance, boolean_fastpath, decide_sft
 from sft_tensor.linalg import (
     Matrix,
     basis_vector,
@@ -152,6 +161,12 @@ class TestParse:
         with pytest.raises(ValidationError):
             parse_formula("([[1 0][0 1]]+[[1]])", Q)
 
+    def test_order_mismatch_names_first_offender_in_pre_order(self):
+        # Both operands of the sum are invalid; the left one is named.
+        bad = "([[1 0]]*[[1 0]])"
+        with pytest.raises(ValidationError, match="mismatch at /R/L$"):
+            parse_formula(f"([[1]]#({bad}+{bad}))", Q)
+
     def test_paper_mode_malformed_is_trivial_zero(self):
         f = parse_formula("((", B, mode="paper")
         assert f == trivial_formula(B)
@@ -242,6 +257,14 @@ class TestParseErrorTable:
         assert exc.value.position == offset
 
 
+SIDES = pytest.mark.parametrize("side", ["left", "right"])
+
+
+def deep_chain(side, tag, count=10_000, tail="[[0][1]]"):
+    """count NOTs, then tail, as one product nested to the given side."""
+    return parse_formula(nested(side, ["[[0 1][1 0]]"] * count + [tail]), tag)
+
+
 class TestDeepChains:
     DEPTH = 10_000
     NOT = "[[0 1][1 0]]"
@@ -268,6 +291,71 @@ class TestDeepChains:
         assert f.order == (2, 1)
         assert f.tag is Q
         assert self.spine(f, "right") == d
+
+    # Every pass over both chains: d NOTs (d even) on e_2 is e_2.
+
+    @SIDES
+    def test_structural_passes(self, side):
+        f = deep_chain(side, B)
+        assert check_osl(f) == OslReport(True, True, True, ())
+        assert is_sum_free(f)
+        assert (size(f), diameter(f)) == (2 * self.DEPTH + 1, 2)
+        assert render_formula(f) == nested(side, [self.NOT] * self.DEPTH + ["[[0][1]]"])
+
+    @SIDES
+    def test_value_matches_shallow(self, side):
+        f = deep_chain(side, Q)
+        shallow = evaluate(parse_formula("[[0][1]]", Q))
+        assert evaluate(f) == shallow
+        assert _eval(f, 1 << 24, "") == shallow
+        square = deep_chain(side, Q, count=self.DEPTH - 1, tail=self.NOT)
+        assert evaluate(square) == identity(2, Q)
+
+    @SIDES
+    def test_applied_operators(self, side):
+        # Z is no permutation, so these subtrees are applied, never built.
+        d, z = self.DEPTH, "[[1 0][0 -1]]"
+        cases = [
+            (nested(side, [z] * d + ["[[0][1]]"]), [[0], [1]]),
+            ("(%s*[[0][1]])" % nested(side, [z] * d, "+"), [[0], [-d]]),
+            ("(%s*[[0][1]])" % nested(side, [z] + ["[[1]]"] * d, "#"), [[0], [-1]]),
+        ]
+        for text, value in cases:
+            assert evaluate(parse_formula(text, Q)) == mx(value)
+
+    @SIDES
+    def test_backward_compiler_passes(self, side):
+        f = deep_chain(side, B)
+        array, state = formula_to_array(f)
+        assert (array.width, len(array.levels)) == (1, self.DEPTH)
+        assert simulate(array, state).amplitudes == evaluate(f)
+        assert evaluate(transpose_formula(f)) == mx([[0, 1]], B)
+        inst = SftInstance(f, k=1)
+        assert boolean_fastpath(inst) == decide_sft(inst)
+        assert decide_sft(inst).accept
+        g, k_eff, delta = pad_formula_with_denominators(deep_chain(side, Q), 1)
+        assert (evaluate(g), k_eff, delta) == (mx([[0], [1]]), 1, 1)
+
+    @SIDES
+    def test_first_invalid_path(self, side):
+        d, i3 = self.DEPTH, "[[1 0 0][0 1 0][0 0 1]]"
+        if side == "left":
+            factors = [i3] + [self.NOT] * (d - 1) + ["[[0][1]]"]
+        else:
+            factors = [self.NOT] * d + ["[[1][0][0]]"]
+        with pytest.raises(ValidationError) as exc:
+            parse_formula(nested(side, factors), Q)
+        assert str(exc.value).endswith(" at " + ("/" + side[0].upper()) * (d - 1))
+
+    @SIDES
+    def test_cap_names_post_order_first(self, side):
+        # 13 NOTs make the deepest subformula whose order passes 2^24.
+        d = self.DEPTH
+        f = parse_formula(nested(side, [self.NOT] * d, "#"), B)
+        with pytest.raises(CapExceededError) as exc:
+            evaluate(f)
+        assert exc.value.path == ("/" + side[0].upper()) * (d - 13)
+        assert (exc.value.rows, exc.value.cols) == (8192, 8192)
 
 
 class TestRender:
@@ -352,6 +440,13 @@ class TestCheckOsl:
         report = check_osl(f)
         assert report.offending_paths == ("/L", "/R")
 
+    def test_nested_offender_paths_read_from_root(self):
+        v = Atom(basis_vector(2, 1, Q))
+        bad = Atom(mx([[1, 1], [0, 1]]))
+        i2 = Atom(identity(2, Q))
+        f = Prod(Prod(i2, bad), Prod(i2, Sum(v, v)))
+        assert check_osl(f).offending_paths == ("/L/R", "/R/R")
+
     def test_wide_atom_is_not_an_osl_input(self):
         f = Prod(Atom(mx([[1, 0, 0]])), Atom(basis_vector(3, 1, Q)))
         report = check_osl(f)
@@ -397,6 +492,13 @@ class TestEvaluate:
         assert exc.value.path == "/L"
         assert (exc.value.rows, exc.value.cols) == (16, 16)
         assert exc.value.cap == 100
+
+    def test_cap_path_reads_from_root(self):
+        i4 = Atom(identity(4, Q))
+        f = Tensor(Atom(identity(1, Q)), Tensor(Tensor(i4, i4), i4))
+        with pytest.raises(CapExceededError) as exc:
+            evaluate(f, entry_cap=100)
+        assert exc.value.path == "/R/L"
 
     def test_cap_on_atom(self):
         with pytest.raises(CapExceededError) as exc:
