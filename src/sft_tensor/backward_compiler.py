@@ -38,17 +38,19 @@ per-atom denominator ratios.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 
 from .circuit import Gate, GateArray, StateVector, wire_masks
 from .errors import ValidationError
 from .formula import (
+    DEFAULT_ENTRY_CAP,
     Atom,
     Formula,
     Prod,
     Tensor,
+    _checked_order,
     balanced_prod,
     balanced_tensor,
     check_osl,
@@ -405,44 +407,51 @@ def pad_formula_with_denominators(f: Formula, k: int):
 # Padded formula -> gate array
 
 
-@dataclass(frozen=True)
-class _Rep:
-    """Array-shaped reading of a padded subformula on its final wires.
+# Both merges reuse the longer schedule, so a chain is read in linear time.
+def _joined(first: deque, then: deque) -> deque:
+    """first's levels, then then's."""
+    if len(first) < len(then):
+        then.extendleft(reversed(first))
+        return then
+    first.extend(then)
+    return first
 
-    open lists, in column-bit order, the wires still accepting input;
-    blocks carry amplitude vectors for closed wires; levels is the gate
-    schedule.  A 1x1 subformula is a block on no wires: its value scales
-    every amplitude.
-    """
 
-    open: tuple
-    blocks: tuple
-    levels: tuple
+def _side_by_side(left: deque, right: deque) -> deque:
+    """Level i runs left's level i, then right's."""
+    for a, b in zip(left, right):
+        a += b
+        b[:] = a
+    return max(left, right, key=len)
 
 
 def _rep(f: Formula, wires: tuple):
     """Pass for walk: read f with its output bits on the given global
     wires, most significant first; each gate is built once, on the wires
-    it keeps."""
+    it keeps.
+
+    Returns (open, blocks, levels).  open lists, in column-bit order, the
+    wires still accepting input; blocks carry amplitude vectors for closed
+    wires (a 1x1 subformula is a block on no wires: its value scales
+    every amplitude); levels is the gate schedule, a deque of gate lists.
+    """
     if isinstance(f, Atom):
         m = f.matrix
         if m.cols == 1:
-            return _Rep((), ((wires, tuple(m.entries)),), ())
-        return _Rep(wires, (), ((Gate(wires, m),),))
+            return (), ((wires, tuple(m.entries)),), deque()
+        return wires, (), deque([[Gate(wires, m)]])
 
     if isinstance(f, Tensor):
         split = _log2(f.left.order[0])
-        h = yield _rep(f.left, wires[:split])
-        k = yield _rep(f.right, wires[split:])
-        pairs = zip_longest(h.levels, k.levels, fillvalue=())
-        levels = tuple(a + b for a, b in pairs)
-        return _Rep(h.open + k.open, h.blocks + k.blocks, levels)
+        h_open, h_blocks, h_levels = yield _rep(f.left, wires[:split])
+        k_open, k_blocks, k_levels = yield _rep(f.right, wires[split:])
+        return h_open + k_open, h_blocks + k_blocks, _side_by_side(h_levels, k_levels)
 
     # Product: the right factor runs first, on the left factor's open
     # wires (its output bits feed the left factor's column bits).
-    h = yield _rep(f.left, wires)
-    k = yield _rep(f.right, h.open)
-    return _Rep(k.open, h.blocks + k.blocks, k.levels + h.levels)
+    h_open, h_blocks, h_levels = yield _rep(f.left, wires)
+    k_open, k_blocks, k_levels = yield _rep(f.right, h_open)
+    return k_open, h_blocks + k_blocks, _joined(k_levels, h_levels)
 
 
 def padded_to_array(padded: Formula):
@@ -457,9 +466,9 @@ def padded_to_array(padded: Formula):
         raise ValidationError(
             "formula value is a single scalar; there is no wire to build an array on"
         )
-    rep = walk(_rep(padded, tuple(range(1, width + 1))))
+    _, blocks, levels = walk(_rep(padded, tuple(range(1, width + 1))))
     support = {0: scalar_one(padded.tag)}
-    for ws, vec in rep.blocks:
+    for ws, vec in blocks:
         masks = wire_masks(ws, width)
         support = {
             g | masks[j]: scalar_mul(a, v)
@@ -467,19 +476,23 @@ def padded_to_array(padded: Formula):
             for j, v in enumerate(vec)
             if not v.is_zero()
         }
-    return GateArray(padded.tag, width, rep.levels), support
+    return GateArray(padded.tag, width, levels), support
 
 
 def formula_to_array(f: Formula):
     """Compile an OSL formula to (GateArray, StateVector).
 
     simulate(array, state) equals evaluate(pad_formula(f).padded): the
-    value in the leading block_length entries, junk after.
+    value in the leading block_length entries, junk after.  The state
+    lists every amplitude, so it is refused, like evaluate's value, when
+    it would have over DEFAULT_ENTRY_CAP of them.
     """
-    array, support = padded_to_array(pad_formula(f).padded)
-    size = 1 << array.width
-    entries = [scalar_zero(f.tag)] * size
+    padded = pad_formula(f).padded
+    _checked_order(padded, DEFAULT_ENTRY_CAP, "")
+    rows = padded.order[0]
+    array, support = padded_to_array(padded)
+    entries = [scalar_zero(f.tag)] * rows
     for g, amp in support.items():
         entries[g] = amp
-    state = StateVector(array.width, Matrix.from_entries(f.tag, size, 1, entries))
+    state = StateVector(array.width, Matrix.from_entries(f.tag, rows, 1, entries))
     return array, state

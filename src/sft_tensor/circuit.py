@@ -13,10 +13,11 @@ the local bits, which leaves the action on the state unchanged.  Making
 gates *adjacent* is deliberately not done here; that rewriting belongs to
 the forward compiler, where it is visible in the emitted formula.
 
-simulate applies gates by direct index manipulation (with a fast path for
-permutation matrices) and never builds a 2^n x 2^n operator.
-level_operator builds exactly that operator from embeddings, giving an
-independent route against which the simulator is tested.
+simulate applies gates by index arithmetic and never builds a 2^n x 2^n
+operator; level_operator builds exactly that operator from embeddings,
+an independent route against which the simulator is tested.  Both take
+every wire-bit index from wire_masks: a basis index is a mask of a
+gate's wires or'ed with a mask of the other wires.
 
 Text format, line oriented::
 
@@ -259,43 +260,35 @@ def validate_array(c: GateArray) -> ArrayReport:
 # Simulation
 
 
-def _apply_gate(amps: list, gate: Gate, n: int, tag: Tag) -> list:
-    wires = gate.wires
-    w = len(wires)
-    shifts = [n - wire for wire in wires]
-    size = 1 << n
+def _perm_moves(gate: Gate, n: int):
+    """{src mask: dst mask} of a permutation gate among n wires, else None."""
     perm = gate.matrix.perm_or_none()
-    if perm is not None:
-        out = [None] * size
-        for x in range(size):
-            j = 0
-            for t, sh in enumerate(shifts):
-                j |= ((x >> sh) & 1) << (w - 1 - t)
-            pj = perm[j]
-            y = x
-            for t, sh in enumerate(shifts):
-                y = (y & ~(1 << sh)) | (((pj >> (w - 1 - t)) & 1) << sh)
-            out[y] = amps[x]
+    if perm is None:
+        return None
+    masks = wire_masks(gate.wires, n)
+    return {masks[j]: masks[p] for j, p in enumerate(perm)}
+
+
+def _apply_gate(amps: list, gate: Gate, n: int, tag: Tag) -> list:
+    rest = wire_masks([w for w in range(1, n + 1) if w not in gate.wires], n)
+    moves = _perm_moves(gate, n)
+    if moves is not None:
+        out = [None] * len(amps)
+        for src, dst in moves.items():
+            for base in rest:
+                out[base | dst] = amps[base | src]
         return out
     # Dense gate: matvec on each block of 2^w entries selected by the wires.
-    spread = []
-    for j in range(1 << w):
-        v = 0
-        for t, sh in enumerate(shifts):
-            v |= ((j >> (w - 1 - t)) & 1) << sh
-        spread.append(v)
-    rest_shifts = [s for s in range(n) if s not in set(shifts)]
+    spread = wire_masks(gate.wires, n)
+    local = range(len(spread))
     zero = scalar_zero(tag)
     m = gate.matrix
     out = list(amps)
-    for r in range(1 << (n - w)):
-        base = 0
-        for t, sh in enumerate(rest_shifts):
-            base |= ((r >> t) & 1) << sh
+    for base in rest:
         vec = [amps[base | sp] for sp in spread]
-        for row in range(1 << w):
+        for row in local:
             acc = zero
-            for col in range(1 << w):
+            for col in local:
                 a = m.at(row, col)
                 if a.is_zero() or vec[col].is_zero():
                     continue
@@ -327,18 +320,11 @@ def simulate(c: GateArray, s: StateVector) -> StateVector:
 def _embed_gate(gate: Gate, n: int, tag: Tag) -> Matrix:
     """The full 2^n operator of one gate: route its wires to the top bits,
     apply matrix (x) identity, route back."""
-    wires = gate.wires
-    w = len(wires)
-    order = list(wires) + [i for i in range(1, n + 1) if i not in set(wires)]
-    rho = [0] * (1 << n)
-    for x in range(1 << n):
-        y = 0
-        for t, wire in enumerate(order):
-            y |= ((x >> (n - wire)) & 1) << (n - 1 - t)
-        rho[x] = y
-    p = Matrix.from_perm(tag, rho)
-    wide = kronecker(gate.matrix, identity(1 << (n - w), tag))
-    return mat_mul(conj_transpose(p), mat_mul(wide, p))
+    rest = [w for w in range(1, n + 1) if w not in gate.wires]
+    # Column j of q carries the routed index j to the global one.
+    q = Matrix.from_perm(tag, wire_masks(list(gate.wires) + rest, n))
+    wide = kronecker(gate.matrix, identity(1 << len(rest), tag))
+    return mat_mul(q, mat_mul(wide, conj_transpose(q)))
 
 
 def level_operator(c: GateArray, level_index: int) -> Matrix:
@@ -450,9 +436,7 @@ def parse_gate_array(text: str, tag: Tag):
                         raise ValidationError("input amps takes a single atom")
                     state = StateVector(width, node.matrix)
                 else:
-                    raise ParseError(
-                        f"line {ln}: input kind must be 'basis' or 'amps'"
-                    )
+                    raise ParseError("input kind must be 'basis' or 'amps'")
             except (ValidationError, ParseError) as exc:
                 raise ParseError(f"line {ln}: {exc}") from None
         else:

@@ -28,6 +28,7 @@ linked (parent, "/L" or "/R") pair, made into path text only when an
 error or a report names it.  Each row is matched by one regex and its
 tokens are read with finditer; scan_atom is the only atom scanner in
 the package (the gate-array format's inline matrices use it too).
+Equal atom texts in one formula are read once and share one Atom.
 
 Evaluation is post-order, left child first.  Every node's order,
 including atoms', is checked against an entry cap before any work on that
@@ -291,6 +292,12 @@ def _parse(text: str, tag: Tag) -> Formula:
     # (left, node type) until its right operand and ')' are.
     frames: list = []
     memo: dict = {}
+    # Hash consing: an atom ending at the first ']]' after its '[' is keyed
+    # on its text, so equal atom texts are scanned once and share one Atom.
+    # That ']]' (close; len(text) if none) is searched for, and the text
+    # looked up, only once pos passes it: linear even for '] ]' atoms.
+    atoms: dict = {}
+    close = -1
     pos = 0
     while True:
         pos = _WS_RUN.match(text, pos).end()
@@ -303,8 +310,18 @@ def _parse(text: str, tag: Tag) -> Formula:
             raise ParseError(
                 "expected '(' or '['" if ch else "unexpected end of input", pos
             )
-        matrix, pos = scan_atom(text, pos, tag, memo)
-        node = Atom(matrix)
+        node = None
+        if close < pos:
+            close = text.find("]]", pos) % (len(text) + 1)
+            node = atoms.get(text[pos : close + 2])
+        if node is None:
+            matrix, end = scan_atom(text, pos, tag, memo)
+            node = Atom(matrix)
+            if end == close + 2:
+                atoms[text[pos:end]] = node
+            pos = end
+        else:
+            pos = close + 2
         pos = _WS_RUN.match(text, pos).end()
         while frames and frames[-1] is not None:
             left, kind = frames.pop()
@@ -583,10 +600,10 @@ def _plan(f: Formula, cap: int, pos, plans: dict):
 
 
 def _eval_column(f: Formula, cap: int) -> Matrix:
+    column = walk(_plan(f, cap, "", {}))  # checks the root's order too
     rows = f.order[0]
-    zero = scalar_zero(f.tag)
-    entries = [zero] * rows
-    for i, v in walk(_plan(f, cap, "", {})).items():
+    entries = [scalar_zero(f.tag)] * rows
+    for i, v in column.items():
         entries[i] = v
     return Matrix(f.tag, rows, 1, tuple(entries))
 

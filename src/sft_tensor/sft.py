@@ -29,7 +29,7 @@ from .backward_compiler import (  # noqa: F401
     pad_formula,
     padded_to_array,
 )
-from .circuit import wire_masks
+from .circuit import _perm_moves
 from .errors import ValidationError
 from .formula import DEFAULT_ENTRY_CAP, Formula, check_osl, evaluate
 from .linalg import partial_trace_outer
@@ -117,13 +117,11 @@ def boolean_fastpath(inst: SftInstance) -> SftVerdict:
     support = {g for g, a in amplitudes.items() if not a.is_zero()}
     for level in array.levels:
         for gate in level:
-            perm = gate.matrix.perm_or_none()
-            if perm is None:
+            moves = _perm_moves(gate, array.width)
+            if moves is None:
                 raise ValidationError("Boolean gate is not a permutation")
-            masks = wire_masks(gate.wires, array.width)
-            local = {m: j for j, m in enumerate(masks)}
-            on = masks[-1]
-            support = {g & ~on | masks[perm[local[g & on]]] for g in support}
+            on = max(moves)  # the mask with every one of the gate's wires set
+            support = {g & ~on | moves[g & on] for g in support}
     k_eff = min(inst.k, padding.block_length)
     window = range(padding.block_length - k_eff, padding.block_length)
     hit = any(i in support for i in window)

@@ -449,6 +449,19 @@ class TestFormulaToArray:
         padded_value = evaluate(pad_formula(f).padded, entry_cap=BIG_CAP)
         assert simulate(array, state).amplitudes == padded_value
 
+    @pytest.mark.parametrize(
+        "longer, wires",
+        [("left", [[1, 2], [1]]), ("right", [[1, 2], [2]])],
+    )
+    def test_tensor_levels_list_left_factor_first(self, longer, wires):
+        # Level i of a tensor runs the left factor's level i, then the
+        # right factor's, whichever factor has more levels.
+        x = Atom(builtin_gate("not", Q))
+        pair = (Prod(x, x), x) if longer == "left" else (x, Prod(x, x))
+        e = Atom(basis_vector(2, 1, Q))
+        array, _ = formula_to_array(Prod(Tensor(*pair), Tensor(e, e)))
+        assert [[g.wires[0] for g in level] for level in array.levels] == wires
+
     def test_rejects_scalar_formula(self):
         with pytest.raises(ValidationError):
             formula_to_array(Atom(mx([[1]])))

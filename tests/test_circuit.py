@@ -17,6 +17,7 @@ from sft_tensor.circuit import (
     render_gate_array,
     simulate,
     validate_array,
+    wire_masks,
 )
 from sft_tensor.errors import ParseError, TagMismatchError, ValidationError
 from sft_tensor.formula import Atom, render_formula
@@ -205,17 +206,31 @@ class TestSimulate:
 
     def test_matches_level_operator_route(self):
         # The simulator never builds 2^n operators; check it against the
-        # embedding route on every basis input.
+        # embedding route on every basis input under three tags, and,
+        # where rot35 exists, after a first level of it on every wire, so
+        # that every later level acts on a state with full support.  The
+        # builtin permutations are involutions, so a last level cycles the
+        # basis states of two wires, which tells a gate from its inverse.
         rng = random.Random(42)
-        for _ in range(12):
-            width = rng.randrange(2, 5)
-            arr = rand_array(rng, width, 3)
-            for x in range(1 << width):
-                s = StateVector.basis(width, format(x, f"0{width}b"), Q)
-                amps = s.amplitudes
-                for i in range(1, len(arr.levels) + 1):
-                    amps = mat_mul(level_operator(arr, i), amps)
-                assert simulate(arr, s).amplitudes == amps
+        for tag in (Q, QI, B):
+            for _ in range(12):
+                width = rng.randrange(2, 5)
+                arr = rand_array(rng, width, 3, tag)
+                wires = rng.sample(range(1, width + 1), 2)
+                cycle = Gate(wires, Matrix.from_perm(tag, [1, 2, 3, 0]))
+                arr = GateArray(tag, width, arr.levels + ((cycle,),))
+                arrays = [arr]
+                if tag is not B:
+                    rot = builtin_gate("rot35", tag)
+                    spread = tuple(Gate((w,), rot) for w in range(1, width + 1))
+                    arrays.append(GateArray(tag, width, (spread,) + arr.levels))
+                for a in arrays:
+                    for x in range(1 << width):
+                        s = StateVector.basis(width, format(x, f"0{width}b"), tag)
+                        amps = s.amplitudes
+                        for i in range(1, len(a.levels) + 1):
+                            amps = mat_mul(level_operator(a, i), amps)
+                        assert simulate(a, s).amplitudes == amps
 
     def test_level_operator_of_empty_level(self):
         arr = GateArray(Q, 3, ((),))
@@ -224,6 +239,30 @@ class TestSimulate:
     def test_level_operator_range(self):
         with pytest.raises(ValidationError):
             level_operator(GateArray(Q, 1, ()), 1)
+
+
+class TestWireMasks:
+    def test_first_listed_wire_is_most_significant(self):
+        assert wire_masks((1,), 3) == [0, 4]
+
+    def test_non_monotone_list(self):
+        assert wire_masks((3, 1), 3) == [0, 4, 1, 5]
+
+    def test_no_wires(self):
+        assert wire_masks((), 3) == [0]
+
+    def test_with_complement_indexes_every_state_once(self):
+        rng = random.Random(3)
+        for width in range(1, 7):
+            for _ in range(6):
+                wires = rng.sample(range(1, width + 1), rng.randrange(width + 1))
+                rest = [w for w in range(1, width + 1) if w not in wires]
+                indices = [
+                    a | b
+                    for a in wire_masks(wires, width)
+                    for b in wire_masks(rest, width)
+                ]
+                assert sorted(indices) == list(range(1 << width))
 
 
 class TestStateVector:
@@ -408,6 +447,11 @@ class TestTextFormat:
     def test_syntax_errors(self, text):
         with pytest.raises(ParseError):
             parse_gate_array(text, Q)
+
+    def test_input_kind_error_names_its_line_once(self):
+        with pytest.raises(ParseError) as exc:
+            parse_gate_array("width 1\ninput wave 0\n", Q)
+        assert str(exc.value) == "line 2: input kind must be 'basis' or 'amps'"
 
     def test_boolean_array(self):
         text = "width 2\nlevel\ngate cnot 1 2\ninput basis 11\n"

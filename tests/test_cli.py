@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 
 import sft_tensor
 
@@ -167,6 +168,27 @@ class TestCompileFormula:
     def test_rejects_non_osl(self, tmp_path, capsys):
         path = write(tmp_path, "bad.formula", "[[1/2][1/2]]\n")
         assert main(["compile-formula", path]) == 3
+
+    @pytest.mark.parametrize(
+        "verb, path, rows",
+        [
+            pytest.param(["compile-formula"], "root", 1 << 30, id="compile-formula"),
+            pytest.param(["eval"], "/R/R/R/R/R", 1 << 25, id="eval"),
+            pytest.param(["sft", "--k", "1"], "/R/R/R/R/R", 1 << 25, id="sft"),
+        ],
+    )
+    def test_wide_chain_past_cap(self, tmp_path, capsys, verb, path, rows):
+        # 30 unit columns: the value and the compiled input state would
+        # have 2^30 entries, so each verb refuses before building them.
+        text = nested("right", ["[[0][1]]"] * 30, "#")
+        start = time.perf_counter()
+        assert main(verb + [write(tmp_path, "wide.formula", text)]) == 4
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == (
+            "",
+            f"error: subformula at {path} has order {rows}x1 ({rows} entries), "
+            "exceeding the cap of 16777216\n",
+        )
 
 
 class TestSimulate:

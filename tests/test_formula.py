@@ -245,6 +245,21 @@ PARSE_ERRORS = [
     ("([[1]]*[[-" + "7" * 4400 + "/2]])", "q", "integer of 4400 digits is too long", 9),
     ("[[1/" + "3" * 4400 + "]]", "qplus", "integer of 4400 digits is too long", 2),
     ("[[0 1/2+" + "5" * 4400 + "i]]", "qi", "integer of 4400 digits is too long", 4),
+    # An atom text that repeats before the fault is read once and shared.
+    ("([[0 1][1 0]]*([[0 1][1 0]]*[[0 1][1 x]]))", "q", "invalid rational scalar 'x'", 37),
+    ("([[1]]*([[1]]*[[1]]]))", "q", "expected ')'", 19),
+    ("(([[1 2]]#[[1 2]])*[[1 2][3]])", "q", "atom rows have unequal lengths", 19),
+    ("([[01][10]]*([[01][10]]*[[01][12]]))", "bool", "invalid Boolean scalar '2'", 31),
+    ("([[1]]*([[1]]*", "q", "unexpected end of input", 14),
+    ("([[1]]*[[1]][[1]])", "q", "expected ')'", 12),
+    # Atoms closed with whitespace ('] ]') end before the first ']]'.
+    ("([[1 0] ]*[[1 0] ] x)", "q", "expected ')'", 19),
+    ("([[1] ]*([[1] ]*[[1] ]]))", "q", "expected ')'", 22),
+    ("([[1]]*([[1] ]*[[1]] ]))", "q", "expected ')'", 21),
+    ("([[0 1][1 0] ]*[[0 1][1 0] ][[1]])", "bool", "expected ')'", 28),
+    ("([[1] ]*[[1] x])", "q", "expected '[' or ']' inside atom", 13),
+    ("([[1]]*[[1] ]", "q", "expected ')'", 13),
+    ("([[1] ]*[[1]]x)", "q", "expected ')'", 13),
 ]
 
 
@@ -255,6 +270,64 @@ class TestParseErrorTable:
             parse_formula(text, Tag(semiring))
         assert str(exc.value) == f"{message} (at offset {offset})"
         assert exc.value.position == offset
+
+
+class TestAtomInterning:
+    """Equal atom texts in one parse are read once and share one Atom."""
+
+    NOT = "[[0 1][1 0]]"
+
+    def test_equal_texts_share_one_atom(self):
+        f = parse_formula(f"({self.NOT}*({self.NOT}*[[0][1]]))", Q)
+        assert f.left is f.right.left
+
+    @pytest.mark.parametrize(
+        "text, tag",
+        [
+            ("([[0 1][1 0]]*[[0 1] [1 0]])", Q),
+            ("([[0 1][1 0]]*[[0 1][1 0] ])", Q),
+            ("([[01][10]]*[[0 1][1 0]])", B),
+            ("([[1/2]]*[[2/4]])", Q),
+        ],
+    )
+    def test_different_texts_do_not(self, text, tag):
+        f = parse_formula(text, tag)
+        assert f.left is not f.right
+        assert f.left == f.right
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(([[1] ]*[[1]])*([[1] ]*[[1]]))",
+            "(([[0 1][1 0] ]#[[1 0][0 1]])*([[0 1][1 0] ]#[[1 0][0 1]]))",
+            "([[1 0][0 1] ]*([[1 0][0 1]]*([[1 0][0 1] ]*[[1][0]])))",
+        ],
+    )
+    def test_atoms_closed_with_whitespace_read_as_tight_ones(self, text):
+        tight = parse_formula(text.replace("] ]", "]]"), Q)
+        assert render_formula(parse_formula(text, Q)) == render_formula(tight)
+
+    def test_each_parse_reads_its_own_atoms(self):
+        assert parse_formula(self.NOT, Q) is not parse_formula(self.NOT, Q)
+
+    def test_shared_non_osl_atom_reported_at_every_occurrence(self):
+        f = parse_formula("(([[1 1][0 1]]*[[1 1][0 1]])*([[1 1][0 1]]*[[1][0]]))", Q)
+        assert f.left.left is f.left.right is f.right.left
+        report = check_osl(f)
+        assert not report.inputs_ok
+        assert report.offending_paths == ("/L/L", "/L/R", "/R/L")
+
+    @pytest.mark.parametrize("column", [False, True])
+    def test_cap_on_shared_atom_names_post_order_first(self, column):
+        # The shared 4x4 atom first sits at /L/R (after [[1]] at /L/L).
+        cnot = "[[1 0 0 0][0 1 0 0][0 0 0 1][0 0 1 0]]"
+        tail = f"({cnot}*[[1][0][0][0]])" if column else cnot
+        f = parse_formula(f"(([[1]]#{cnot})*{tail})", Q)
+        shared = f.right.left if column else f.right
+        assert f.left.right is shared
+        with pytest.raises(CapExceededError) as exc:
+            evaluate(f, entry_cap=8)
+        assert exc.value.path == "/L/R"
 
 
 SIDES = pytest.mark.parametrize("side", ["left", "right"])
