@@ -13,11 +13,14 @@ the local bits, which leaves the action on the state unchanged.  Making
 gates *adjacent* is deliberately not done here; that rewriting belongs to
 the forward compiler, where it is visible in the emitted formula.
 
-simulate applies gates by index arithmetic and never builds a 2^n x 2^n
-operator; level_operator builds exactly that operator from embeddings,
-an independent route against which the simulator is tested.  Both take
-every wire-bit index from wire_masks: a basis index is a mask of a
-gate's wires or'ed with a mask of the other wires.
+simulate holds the state sparse, as {basis index: nonzero amplitude},
+and updates it gate by gate in _apply_gate, the one state kernel (the
+Boolean fast path in sft runs compiled arrays through it too).  Only the
+output is densified; no 2^n x 2^n operator is built.  level_operator
+builds exactly that operator from embeddings, an independent route
+against which the simulator is tested.  Both take every wire-bit index
+from wire_masks: a basis index is a mask of a gate's wires or'ed with a
+mask of the other wires.
 
 Text format, line oriented::
 
@@ -260,41 +263,41 @@ def validate_array(c: GateArray) -> ArrayReport:
 # Simulation
 
 
-def _perm_moves(gate: Gate, n: int):
-    """{src mask: dst mask} of a permutation gate among n wires, else None."""
-    perm = gate.matrix.perm_or_none()
-    if perm is None:
-        return None
+def _apply_gate(amps: dict, gate: Gate, n: int) -> dict:
+    """One gate on a sparse state {basis index: nonzero amplitude}.
+
+    on masks every one of the gate's wires, so g & on picks the gate's
+    local index out of basis index g.  A permutation gate moves that
+    index; any other gate scatters the amplitude along the matching
+    column of its matrix, and exact cancellations are dropped.
+    """
     masks = wire_masks(gate.wires, n)
-    return {masks[j]: masks[p] for j, p in enumerate(perm)}
-
-
-def _apply_gate(amps: list, gate: Gate, n: int, tag: Tag) -> list:
-    rest = wire_masks([w for w in range(1, n + 1) if w not in gate.wires], n)
-    moves = _perm_moves(gate, n)
-    if moves is not None:
-        out = [None] * len(amps)
-        for src, dst in moves.items():
-            for base in rest:
-                out[base | dst] = amps[base | src]
-        return out
-    # Dense gate: matvec on each block of 2^w entries selected by the wires.
-    spread = wire_masks(gate.wires, n)
-    local = range(len(spread))
-    zero = scalar_zero(tag)
+    on = masks[-1]
     m = gate.matrix
-    out = list(amps)
-    for base in rest:
-        vec = [amps[base | sp] for sp in spread]
-        for row in local:
-            acc = zero
-            for col in local:
-                a = m.at(row, col)
-                if a.is_zero() or vec[col].is_zero():
-                    continue
-                acc = scalar_add(acc, scalar_mul(a, vec[col]))
-            out[base | spread[row]] = acc
-    return out
+    perm = m.perm_or_none()
+    if perm is not None:
+        moves = {masks[j]: masks[p] for j, p in enumerate(perm)}
+        return {g & ~on | moves[g & on]: a for g, a in amps.items()}
+    column = {
+        mask: [(r, x) for r, x in zip(masks, m.entries[j :: m.cols]) if not x.is_zero()]
+        for j, mask in enumerate(masks)
+    }
+    out: dict = {}
+    for g, a in amps.items():
+        base = g & ~on
+        for mask, x in column[g & on]:
+            term = scalar_mul(x, a)
+            h = base | mask
+            out[h] = scalar_add(out[h], term) if h in out else term
+    return {g: a for g, a in out.items() if not a.is_zero()}
+
+
+def _run_levels(c: GateArray, amps: dict) -> dict:
+    """The sparse state after every level of c."""
+    for level in c.levels:
+        for gate in level:
+            amps = _apply_gate(amps, gate, c.width)
+    return amps
 
 
 def simulate(c: GateArray, s: StateVector) -> StateVector:
@@ -310,11 +313,11 @@ def simulate(c: GateArray, s: StateVector) -> StateVector:
         raise TagMismatchError(
             f"state tag {s.tag.value} != array tag {c.tag.value}"
         )
-    amps = list(s.amplitudes.entries)
-    for level in c.levels:
-        for gate in sorted(level, key=lambda g: g.wires[0]):
-            amps = _apply_gate(amps, gate, c.width, c.tag)
-    return StateVector(c.width, Matrix.from_entries(c.tag, 1 << c.width, 1, amps))
+    amps = {g: a for g, a in enumerate(s.amplitudes.entries) if not a.is_zero()}
+    out = [scalar_zero(c.tag)] * (1 << c.width)
+    for g, a in _run_levels(c, amps).items():
+        out[g] = a
+    return StateVector(c.width, Matrix.from_entries(c.tag, len(out), 1, out))
 
 
 def _embed_gate(gate: Gate, n: int, tag: Tag) -> Matrix:

@@ -378,12 +378,15 @@ def parse_formula(text: str, tag: Tag, mode: str = "strict") -> Formula:
 def render_formula(f: Formula) -> str:
     """Fully parenthesised text; parse_formula round-trips it structurally."""
     parts = []
+    texts = {}  # id(matrix) -> text: a shared atom is rendered once
 
     def visit(node):
         if isinstance(node, Atom):
             m = node.matrix
-            rows = (" ".join(map(render_scalar, m.row(r))) for r in range(m.rows))
-            parts.append("[[%s]]" % "][".join(rows))
+            if id(m) not in texts:
+                rows = (" ".join(map(render_scalar, m.row(r))) for r in range(m.rows))
+                texts[id(m)] = "[[%s]]" % "][".join(rows)
+            parts.append(texts[id(m)])
             return
         parts.append("(")
         yield visit(node.left)

@@ -5,11 +5,13 @@ gate matrices interleaved with I_2 factors for untouched wires.  Gates on
 scattered wires are brought together by moving the wires themselves.  The
 compiler tracks an arrangement, the wire label sitting on each position,
 starting from the identity.  Before each level it routes the wires to
-that level's target arrangement: the level's gates packed from position
-1 in order of their lowest wire, then the untouched wires in their
-current relative order.  The packed level is one tensor chain, the
-arrangement becomes the target, and after the last level one more route
-brings every wire home.  Levels without gates add nothing.
+that level's target arrangement: the current one, walked position by
+position, with all of a gate's wires gathered, in the gate's wire order,
+where the first of them sits; every other wire keeps its relative order.
+So a level whose gates already sit on adjacent wires in order needs no
+route.  The packed level is one tensor chain, the arrangement becomes
+the target, and after the last level one more route brings every wire
+home.  Levels without gates add nothing.
 
 Each route is odd-even transposition sort (Knuth, TAOCP Vol. 3, 5.3.4):
 at most n rounds of disjoint adjacent swaps, each round one balanced
@@ -21,7 +23,8 @@ product of these chains, level 1 rightmost, parenthesized as a balanced
 tree so the formula depth stays logarithmic in the chain count.
 
 LevelPlan describes one level on its own, as P_sigma^-1 . packed . P_sigma
-with P_sigma the route from the identity; it also records sigma as a
+with P_sigma the route from the identity to the level's gates packed from
+wire 1 in order of their lowest wire; it also records sigma as a
 staircase of cycles, each of which cycle_formula turns into a ladder of
 single-swap chains.  Wire values move as follows in a cycle formula with
 inverse=False: the value on wire k jumps up to wire j and the values on
@@ -54,7 +57,7 @@ __all__ = [
 
 
 def _wire_atoms(n: int, tag: Tag) -> list:
-    return [Atom(identity(2, tag)) for _ in range(n)]
+    return [Atom(identity(2, tag))] * n
 
 
 def identity_formula(n: int, tag: Tag) -> Formula:
@@ -134,21 +137,21 @@ def _sorted_level(level: Sequence[Gate]) -> list:
 
 
 def _packed_target(gates: Sequence[Gate], current: Sequence[int]) -> list:
-    """The gates' wires from position 1 on, then the other wires in their
-    current relative order."""
-    touched = [w for g in gates for w in g.wires]
-    busy = set(touched)
-    return touched + [w for w in current if w not in busy]
+    """The current arrangement with each gate's wires gathered, in the
+    gate's wire order, where the first of them sits; the other wires keep
+    their relative order."""
+    group = {w: g.wires for g in gates for w in g.wires}
+    target: list = []
+    for w in current:
+        if w not in target:
+            target += group.get(w, (w,))
+    return target
 
 
-def _packed_level(gates: Sequence[Gate]) -> list:
-    packed = []
-    wire = 1
-    for g in gates:
-        width = len(g.wires)
-        packed.append(Gate(tuple(range(wire, wire + width)), g.matrix))
-        wire += width
-    return packed
+def _packed_level(gates: Sequence[Gate], target: Sequence[int]) -> list:
+    """The gates moved onto the positions their wires hold in target."""
+    at = {w: pos for pos, w in enumerate(target, start=1)}
+    return [Gate(tuple(at[w] for w in g.wires), g.matrix) for g in gates]
 
 
 def level_matrix_formula(level: Sequence[Gate], n: int, tag: Tag) -> Formula:
@@ -207,7 +210,8 @@ def adjacency_normalize(level: Sequence[Gate], n: int, tag: Tag) -> LevelPlan:
     """
     gates = _sorted_level(level)
     home = list(range(1, n + 1))
-    target_order = _packed_target(gates, home)
+    touched = [w for g in gates for w in g.wires]
+    target_order = touched + [w for w in home if w not in touched]
     sigma = [0] * n
     for pos, orig in enumerate(target_order, start=1):
         sigma[orig - 1] = pos
@@ -222,7 +226,7 @@ def adjacency_normalize(level: Sequence[Gate], n: int, tag: Tag) -> LevelPlan:
             cycles.append((i, h))
             current.insert(i - 1, current.pop(h - 1))
 
-    packed = _packed_level(gates)
+    packed = _packed_level(gates, target_order)
     rounds = _route(home, target_order, tag)
     if rounds:
         # Operator order: the first round is applied first, so it sits
@@ -266,7 +270,7 @@ def compile_array_to_formula(c: GateArray) -> Formula:
             continue
         target = _packed_target(gates, current)
         factors += _route(current, target, tag)
-        factors.append(level_matrix_formula(_packed_level(gates), n, tag))
+        factors.append(level_matrix_formula(_packed_level(gates, target), n, tag))
         current = target
     if not factors:
         return identity_formula(n, tag)

@@ -113,10 +113,6 @@ class Matrix:
         """Entry in row r, column c (0-based)."""
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise ShapeError(f"index ({r},{c}) outside {self.rows}x{self.cols}")
-        if self._perm is not None and self._entries is None:
-            if self._perm[c] == r:
-                return scalar_one(self.tag)
-            return scalar_zero(self.tag)
         return self.entries[r * self.cols + c]
 
     def row(self, r: int) -> tuple[Scalar, ...]:
@@ -267,20 +263,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if pa is not None and pb is not None:
         # A composite of permutations is one; skip from_perm's re-check.
         return Matrix(a.tag, a.rows, a.rows, None, tuple([pa[j] for j in pb]))
-    if pa is not None:
-        # Row i of the product is row pa^-1[i] of b.
-        inv = _invert_perm(pa)
-        flat: list[Scalar] = []
-        for i in range(a.rows):
-            flat.extend(b.row(inv[i]))
-        return Matrix(a.tag, a.rows, b.cols, tuple(flat))
-    if pb is not None:
-        # Column j of the product is column pb[j] of a.
-        rows_out: list[Scalar] = []
-        for i in range(a.rows):
-            arow = a.row(i)
-            rows_out.extend(arow[pb[j]] for j in range(b.cols))
-        return Matrix(a.tag, a.rows, b.cols, tuple(rows_out))
     zero = scalar_zero(a.tag)
     n, m, p = a.rows, a.cols, b.cols
     ae, be = a.entries, b.entries

@@ -7,6 +7,7 @@ import pytest
 
 from sft_tensor.circuit import (
     BUILTIN_GATE_NAMES,
+    _apply_gate,
     Gate,
     GateArray,
     StateVector,
@@ -21,7 +22,14 @@ from sft_tensor.circuit import (
 )
 from sft_tensor.errors import ParseError, TagMismatchError, ValidationError
 from sft_tensor.formula import Atom, render_formula
-from sft_tensor.linalg import Matrix, basis_vector, identity, is_unit_column, mat_mul
+from sft_tensor.linalg import (
+    Matrix,
+    basis_vector,
+    conj_transpose,
+    identity,
+    is_unit_column,
+    mat_mul,
+)
 from sft_tensor.semiring import Tag, make_scalar
 
 from generators import rand_array
@@ -211,8 +219,13 @@ class TestSimulate:
         # that every later level acts on a state with full support.  The
         # builtin permutations are involutions, so a last level cycles the
         # basis states of two wires, which tells a gate from its inverse.
+        # Two-term inputs on x and x | top, top being wire 1's bit, make
+        # the support shrink as well as grow: over Q and QI their
+        # amplitudes 3/5 and 4/5 fold into one term under the first
+        # level's rot35 on wire 1.
         rng = random.Random(42)
         for tag in (Q, QI, B):
+            two_terms = (1, 1) if tag is B else (Fraction(3, 5), Fraction(4, 5))
             for _ in range(12):
                 width = rng.randrange(2, 5)
                 arr = rand_array(rng, width, 3, tag)
@@ -224,13 +237,43 @@ class TestSimulate:
                     rot = builtin_gate("rot35", tag)
                     spread = tuple(Gate((w,), rot) for w in range(1, width + 1))
                     arrays.append(GateArray(tag, width, (spread,) + arr.levels))
+                top = 1 << (width - 1)
+                states = [
+                    StateVector.basis(width, format(x, f"0{width}b"), tag)
+                    for x in range(1 << width)
+                ]
+                for x in range(top):
+                    entries = [make_scalar(tag, 0)] * (1 << width)
+                    for i, v in zip((x, x | top), two_terms):
+                        entries[i] = make_scalar(tag, v)
+                    column = Matrix.from_entries(tag, len(entries), 1, entries)
+                    states.append(StateVector(width, column))
                 for a in arrays:
-                    for x in range(1 << width):
-                        s = StateVector.basis(width, format(x, f"0{width}b"), tag)
+                    ops = [level_operator(a, i) for i in range(1, len(a.levels) + 1)]
+                    for s in states:
                         amps = s.amplitudes
-                        for i in range(1, len(a.levels) + 1):
-                            amps = mat_mul(level_operator(a, i), amps)
+                        for op in ops:
+                            amps = mat_mul(op, amps)
                         assert simulate(a, s).amplitudes == amps
+
+    def test_apply_gate_never_returns_zero(self):
+        # An array followed by its inverse grows the support and shrinks it
+        # back to the one input index; no step may hold a zero amplitude.
+        rng = random.Random(8)
+        for tag in (Q, QI, B):
+            for _ in range(20):
+                width = rng.randrange(1, 6)
+                arr = rand_array(rng, width, 4, tag)
+                gates = [g for level in arr.levels for g in level]
+                undo = [
+                    Gate(g.wires, conj_transpose(g.matrix)) for g in reversed(gates)
+                ]
+                x = rng.randrange(1 << width)
+                amps = {x: make_scalar(tag, 1)}
+                for gate in gates + undo:
+                    amps = _apply_gate(amps, gate, width)
+                    assert amps and not any(a.is_zero() for a in amps.values())
+                assert amps == {x: make_scalar(tag, 1)}
 
     def test_level_operator_of_empty_level(self):
         arr = GateArray(Q, 3, ((),))

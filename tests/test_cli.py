@@ -196,6 +196,14 @@ class TestSimulate:
         assert main(["simulate", "--k", "4", toffoli_file]) == 0
         assert capsys.readouterr().out == "output basis 111\nprobability 1\n"
 
+    @pytest.mark.parametrize("semiring", ["q", "qi"])
+    def test_destructive_interference(self, tmp_path, capsys, semiring):
+        # rot35 sends 3/5 e_0 + 4/5 e_1 to e_0: the e_1 terms cancel.
+        text = "width 1\nlevel\ngate rot35 1\ninput amps [[3/5][4/5]]\n"
+        path = write(tmp_path, "fold.array", text)
+        assert main(["simulate", "--semiring", semiring, path]) == 0
+        assert capsys.readouterr().out == "output basis 0\n"
+
     def test_missing_input_declaration(self, tmp_path, capsys):
         path = write(tmp_path, "noin.array", "width 1\nlevel\ngate not 1\n")
         assert main(["simulate", path]) == 3

@@ -443,6 +443,31 @@ class TestRender:
         f = parse_formula("[[001][101]]", B)
         assert render_formula(f) == "[[0 0 1][1 0 1]]"
 
+    def test_shared_atoms_render_like_copies(self):
+        # render_formula renders each distinct matrix once; a formula that
+        # reuses one Atom, or one matrix under several Atoms, must give the
+        # same bytes as the same tree built from separate copies.
+        def rot():
+            return mx([["3/5", "4/5"], ["-4/5", "3/5"]])
+
+        def tree(rot_atom, id_atom, col_atom):
+            def chain():
+                return balanced_tensor([id_atom(), rot_atom(), id_atom(), rot_atom()])
+
+            column = balanced_tensor([col_atom() for _ in range(4)])
+            return Prod(Prod(chain(), chain()), column)
+
+        shared_rot, shared_id = Atom(rot()), Atom(identity(2, Q))
+        shared_col = basis_vector(2, 1, Q)
+        shared = tree(lambda: shared_rot, lambda: shared_id, lambda: Atom(shared_col))
+        copies = tree(
+            lambda: Atom(rot()),
+            lambda: Atom(identity(2, Q)),
+            lambda: Atom(basis_vector(2, 1, Q)),
+        )
+        assert render_formula(shared) == render_formula(copies)
+        assert parse_formula(render_formula(shared), Q) == copies
+
     def test_round_trip_frozen(self):
         text = "(([[0 1][1 0]]*[[1][0]])#[[1/2][1/2]])"
         f = parse_formula(text, Q)

@@ -360,6 +360,16 @@ class TestMergedRouting:
         assert atom_count(f) == 6 * 3
         assert evaluate(f) == identity(16, Q)
 
+    def test_gate_packed_where_its_wires_sit(self):
+        # A cnot already on adjacent wires 5 and 6 needs no route: the
+        # formula is one chain of four I_2 atoms and the cnot, 4 binary
+        # nodes, as for the same gate on wires 1 and 2.
+        for wires in ((5, 6), (1, 2)):
+            arr = GateArray(Q, 6, ((Gate(wires, builtin_gate("cnot", Q)),),))
+            f = compile_array_to_formula(arr)
+            assert atom_count(f) == 5
+            assert evaluate(f) == level_operator(arr, 1)
+
     def test_gateless_array_is_identity_formula(self):
         arr = GateArray(Q, 3, ((), ()))
         assert compile_array_to_formula(arr) == identity_formula(3, Q)

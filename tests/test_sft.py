@@ -133,6 +133,31 @@ class TestBooleanFastpath:
         assert boolean_fastpath(SftInstance(f, k=1)).accept
         assert decide_sft(SftInstance(f, k=1)).accept
 
+    def test_compiled_circuit_at_width_18(self):
+        # The output bits are worked out here by permuting the input's
+        # bits gate by gate; the fast path must accept exactly when they
+        # fall in the last k of the 2^18 basis states.
+        rng = random.Random(18)
+        width = 18
+        for _ in range(3):
+            c = rand_array(rng, width, 6, B)
+            bits = [rng.choice("01") for _ in range(width)]
+            x = input_vector_formula("".join(bits), B)
+            f = Prod(compile_array_to_formula(c), x)
+            for level in c.levels:
+                for gate in level:
+                    local = int("".join(bits[w - 1] for w in gate.wires), 2)
+                    moved = gate.matrix.perm_or_none()[local]
+                    moved_bits = format(moved, f"0{len(gate.wires)}b")
+                    for w, b in zip(gate.wires, moved_bits):
+                        bits[w - 1] = b
+            out = int("".join(bits), 2)
+            end = 1 << width
+            for k in (1 << 17, end - out, max(1, end - out - 1)):
+                accept = out >= end - k
+                verdict = boolean_fastpath(SftInstance(f, k=k))
+                assert verdict == SftVerdict(make_scalar(B, int(accept)), accept)
+
     def test_agrees_with_direct_decision(self):
         rng = random.Random(23)
         for _ in range(40):
