@@ -28,7 +28,13 @@ linked (parent, "/L" or "/R") pair, made into path text only when an
 error or a report names it.  Each row is matched by one regex and its
 tokens are read with finditer; scan_atom is the only atom scanner in
 the package (the gate-array format's inline matrices use it too).
-Equal atom texts in one formula are read once and share one Atom.
+
+The text is a tree, but a parsed formula is a DAG: equal atom texts in
+one formula are read once and share one Atom, and equal subtrees share
+one node.  check_osl and evaluation key their work on node identity, so
+they do it once per distinct subtree; passes whose output is per
+occurrence (rendering, size, the backward compiler's padding and gate
+reading) still walk every occurrence.
 
 Evaluation is post-order, left child first.  Every node's order,
 including atoms', is checked against an entry cap before any work on that
@@ -296,7 +302,11 @@ def _parse(text: str, tag: Tag) -> Formula:
     # on its text, so equal atom texts are scanned once and share one Atom.
     # That ']]' (close; len(text) if none) is searched for, and the text
     # looked up, only once pos passes it: linear even for '] ]' atoms.
+    # A binary node is keyed on (kind, id(left), id(right)), never on the
+    # node, whose dataclass hash and == recurse.  Every node built stays
+    # reachable from the dict, so no id is reused within one parse.
     atoms: dict = {}
+    nodes: dict = {}
     close = -1
     pos = 0
     while True:
@@ -327,7 +337,10 @@ def _parse(text: str, tag: Tag) -> Formula:
             left, kind = frames.pop()
             if text[pos : pos + 1] != ")":
                 raise ParseError("expected ')'", pos)
-            node = kind(left, node)
+            key = (kind, id(left), id(node))
+            if key not in nodes:
+                nodes[key] = kind(left, node)
+            node = nodes[key]
             pos = _WS_RUN.match(text, pos + 1).end()
         if not frames:
             if pos != len(text):
@@ -451,20 +464,43 @@ def check_osl(f: Formula) -> OslReport:
     """Check the orthogonal sum-free linear shape: sum-free, every atom an
     orthogonal square matrix or a unit column, and a column output.
 
-    Offending paths list every Sum node and every failing atom, sorted.
+    Offending paths list every occurrence of every Sum node and every
+    failing atom, sorted.
     """
+    clean: dict = {}
+    walk(_osl_clean(f, clean))
     offending = []
-    sum_free = True
-    inputs_ok = True
-    for node, pos in _subformulas(f):
-        if isinstance(node, Sum):
-            sum_free = False
-            offending.append(_path_text(pos))
-        elif isinstance(node, Atom) and not _osl_atom_ok(node.matrix):
-            inputs_ok = False
-            offending.append(_path_text(pos))
+    if not clean[id(f)]:
+        walk(_osl_offenders(f, "", clean, offending))
+    sum_free = not any(type(node) is Sum for node, _ in offending)
+    inputs_ok = not any(type(node) is Atom for node, _ in offending)
     column = f.order is not None and f.order[1] == 1
-    return OslReport(sum_free, inputs_ok, column, tuple(sorted(offending)))
+    paths = sorted(_path_text(pos) for _, pos in offending)
+    return OslReport(sum_free, inputs_ok, column, tuple(paths))
+
+
+def _osl_clean(f: Formula, clean: dict):
+    """Pass for walk, once per distinct node: clean[id(node)] says whether
+    the subtree holds no Sum and no failing atom."""
+    if type(f) is Atom:
+        clean[id(f)] = _osl_atom_ok(f.matrix)
+        return
+    for child in (f.left, f.right):
+        if id(child) not in clean:
+            yield _osl_clean(child, clean)
+    clean[id(f)] = type(f) is not Sum and clean[id(f.left)] and clean[id(f.right)]
+
+
+def _osl_offenders(f: Formula, pos, clean: dict, out: list):
+    """Pass for walk over the unclean subtrees only, once per occurrence:
+    appends (node, position) of each Sum and failing atom."""
+    if type(f) is Atom or type(f) is Sum:
+        out.append((f, pos))
+    if type(f) is not Atom:
+        if not clean[id(f.left)]:
+            yield _osl_offenders(f.left, (pos, "/L"), clean, out)
+        if not clean[id(f.right)]:
+            yield _osl_offenders(f.right, (pos, "/R"), clean, out)
 
 
 # ---------------------------------------------------------------------------
@@ -481,17 +517,25 @@ def _checked_order(f: Formula, cap: int, pos) -> None:
 
 
 def _eval(f: Formula, cap: int, pos) -> Matrix:
-    return walk(_eval_node(f, cap, pos))
+    return walk(_eval_node(f, cap, pos, {}))
 
 
-def _eval_node(f: Formula, cap: int, pos):
-    if isinstance(f, Atom):
+def _eval_node(f: Formula, cap: int, pos, values: dict):
+    # values holds each distinct node's matrix by id, as _plan keeps plans.
+    if type(f) is Atom:
         _checked_order(f, cap, pos)
-        return f.matrix
-    left = yield _eval_node(f.left, cap, (pos, "/L"))
-    right = yield _eval_node(f.right, cap, (pos, "/R"))
-    _checked_order(f, cap, pos)
-    return _MAT_OP[type(f)](left, right)
+        value = f.matrix
+    else:
+        left = values.get(id(f.left))
+        if left is None:
+            left = yield _eval_node(f.left, cap, (pos, "/L"), values)
+        right = values.get(id(f.right))
+        if right is None:
+            right = yield _eval_node(f.right, cap, (pos, "/R"), values)
+        _checked_order(f, cap, pos)
+        value = _MAT_OP[type(f)](left, right)
+    values[id(f)] = value
+    return value
 
 
 # Column-valued formulas are evaluated vector first.  One post-order walk
@@ -507,8 +551,11 @@ def _eval_node(f: Formula, cap: int, pos):
 #
 # A product with a column on its right applies its left plan to that
 # column, and a deferred Kronecker product is applied block by block.
-# Binary nodes' plans are kept by node identity, so a subtree the
-# compilers share is planned once per call.
+# Plans are kept by node identity, and a parent looks its child up there
+# before visiting it, so a shared subtree is planned and cap-checked once
+# per call, at its first occurrence in post-order.  Every later occurrence
+# comes after that one, so the first offender and its path are those of
+# the same formula written as a tree.
 
 
 def _mat_vec(m: Matrix, x: dict) -> dict:
@@ -573,14 +620,17 @@ def _plan(f: Formula, cap: int, pos, plans: dict):
         _checked_order(f, cap, pos)
         m = f.matrix
         if m.cols == 1:
-            return {i: s for i, s in enumerate(m.entries) if not s.is_zero()}
-        return m if m.perm_or_none() is not None else f
-    key = id(f)
-    plan = plans.get(key)
-    if plan is not None:
+            plan = {i: s for i, s in enumerate(m.entries) if not s.is_zero()}
+        else:
+            plan = m if m.perm_or_none() is not None else f
+        plans[id(f)] = plan
         return plan
-    left = yield _plan(f.left, cap, (pos, "/L"), plans)
-    right = yield _plan(f.right, cap, (pos, "/R"), plans)
+    left = plans.get(id(f.left))
+    if left is None:
+        left = yield _plan(f.left, cap, (pos, "/L"), plans)
+    right = plans.get(id(f.right))
+    if right is None:
+        right = yield _plan(f.right, cap, (pos, "/R"), plans)
     _checked_order(f, cap, pos)
     kind = type(f)
     if type(left) is Matrix and type(right) is Matrix:
@@ -598,7 +648,7 @@ def _plan(f: Formula, cap: int, pos, plans: dict):
         }
     else:
         plan = _vec_add(left, right)
-    plans[key] = plan
+    plans[id(f)] = plan
     return plan
 
 

@@ -373,5 +373,6 @@ def partial_trace_outer(v: Matrix, k: int) -> Scalar:
     tail = v.entries[v.rows - k :] if k else ()
     total = scalar_zero(norm_tag(v.tag))
     for s in tail:
-        total = scalar_add(total, norm_square(s))
+        if not s.is_zero():  # compiled circuits' columns are mostly zeros
+            total = scalar_add(total, norm_square(s))
     return total

@@ -182,6 +182,27 @@ def rand_osl_formula(
     return formula
 
 
+def unshared(f: Formula) -> Formula:
+    """A copy of f with a fresh node for every occurrence: the same
+    formula written as a tree."""
+    if isinstance(f, Atom):
+        return Atom(f.matrix)
+    return type(f)(unshared(f.left), unshared(f.right))
+
+
+def distinct_nodes(f: Formula) -> list:
+    """The nodes of f, each shared node once."""
+    seen = {}
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            if not isinstance(node, Atom):
+                stack += [node.left, node.right]
+    return list(seen.values())
+
+
 def nested(side, factors, op="*"):
     """factors joined by op in order, nested to the left or the right."""
     n = len(factors) - 1

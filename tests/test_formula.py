@@ -1,12 +1,13 @@
 """Formula AST, grammar, metrics, OSL checking, and the exact evaluator."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import nested
+from generators import distinct_nodes, nested, rand_array, unshared
 
 from sft_tensor.errors import (
     CapExceededError,
@@ -31,7 +32,9 @@ from sft_tensor.formula import (
     size,
     trivial_formula,
 )
+from sft_tensor import formula as formula_module
 from sft_tensor.formula import _eval  # the multiplied-out reference
+from sft_tensor.forward_compiler import compile_array_to_formula, input_vector_formula
 from sft_tensor.backward_compiler import (
     formula_to_array,
     pad_formula_with_denominators,
@@ -330,7 +333,145 @@ class TestAtomInterning:
         assert exc.value.path == "/L/R"
 
 
-SIDES = pytest.mark.parametrize("side", ["left", "right"])
+def _cap_error(f, cap):
+    with pytest.raises(CapExceededError) as exc:
+        evaluate(f, entry_cap=cap)
+    return exc.value.path, exc.value.rows, exc.value.cols
+
+
+class TestSubtreeSharing:
+    """Equal subtrees in one parse are one node; passes keyed on node
+    identity work once per distinct subtree, and every report reads as
+    for the same formula written as a tree."""
+
+    NOT = "[[0 1][1 0]]"
+    ID = "[[1 0][0 1]]"
+    BAD = "[[1 1][0 1]]"
+    CNOT = "[[1 0 0 0][0 1 0 0][0 0 0 1][0 0 1 0]]"
+
+    def test_equal_subtrees_share_one_node(self):
+        f = parse_formula(f"(({self.NOT}*{self.ID})#({self.NOT}*{self.ID}))", Q)
+        assert f.left is f.right
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f"(({NOT}*{ID})#({NOT}#{ID}))",
+            f"(({NOT}*{ID})#({ID}*{NOT}))",
+            f"(({NOT}*{ID})#({NOT}+{ID}))",
+        ],
+    )
+    def test_different_subtrees_do_not(self, text):
+        f = parse_formula(text, Q)
+        assert f.left is not f.right
+        assert f.left.left is f.right.left or f.left.left is f.right.right
+
+    @pytest.mark.parametrize("tag", [Q, B, Tag.GAUSSIAN_RATIONAL])
+    @pytest.mark.parametrize("width", [3, 6])
+    def test_compiled_texts_round_trip(self, tag, width):
+        rng = random.Random(width)
+        array = rand_array(rng, width, depth=6, tag=tag)
+        text = render_formula(
+            Prod(compile_array_to_formula(array), input_vector_formula("0" * width, tag))
+        )
+        f = parse_formula(text, tag)
+        assert render_formula(f) == text
+        assert len(distinct_nodes(f)) < size(f)
+
+    @pytest.mark.parametrize("column", [False, True])
+    def test_cap_on_shared_binary_subtree_names_post_order_first(self, column):
+        # The shared 8x8 node first sits at /L/R (after [[1]] at /L/L),
+        # and its 2x2 and 4x4 factors pass a cap of 32.
+        shared = f"({self.ID}#{self.CNOT})"
+        col8 = "[[1][0][0][0][0][0][0][0]]"
+        tail = f"({shared}*{col8})" if column else shared
+        f = parse_formula(f"(([[1]]#{shared})*{tail})", Q)
+        assert f.left.right is (f.right.left if column else f.right)
+        assert _cap_error(f, 32) == ("/L/R", 8, 8)
+        assert _cap_error(unshared(f), 32) == ("/L/R", 8, 8)
+
+    def test_shared_non_osl_subtree_reported_at_every_occurrence(self):
+        shared = f"({self.BAD}*({self.NOT}+{self.ID}))"
+        f = parse_formula(
+            f"(({shared}#{shared})*(({shared}*[[1][0]])#[[0][1]]))", Q
+        )
+        assert f.left.left is f.left.right is f.right.left.left
+        report = check_osl(f)
+        assert report.offending_paths == (
+            "/L/L/L", "/L/L/R", "/L/R/L", "/L/R/R", "/R/L/L/L", "/R/L/L/R"
+        )
+        assert not report.is_sum_free and not report.inputs_ok
+        assert report == check_osl(unshared(f))
+
+    def test_padding_counts_one_delta_per_occurrence(self):
+        shared = f"({self.NOT}*[[3/5][4/5]])"
+        f = parse_formula(f"({shared}#{shared})", Q)
+        assert f.left is f.right
+        _, _, delta = pad_formula_with_denominators(f, 1)
+        assert delta == Fraction(5, 8) ** 2
+        assert delta == pad_formula_with_denominators(unshared(f), 1)[2]
+
+    def test_osl_atom_checked_once_per_distinct_atom(self, monkeypatch):
+        rng = random.Random(5)
+        f = parse_formula(
+            render_formula(
+                Prod(
+                    compile_array_to_formula(rand_array(rng, 6, 6, tag=B)),
+                    input_vector_formula("010101", B),
+                )
+            ),
+            B,
+        )
+        checked = []
+        monkeypatch.setattr(
+            formula_module, "_osl_atom_ok", lambda m: checked.append(m) or True
+        )
+        assert check_osl(f).is_osl
+        atoms = [n for n in distinct_nodes(f) if isinstance(n, Atom)]
+        assert len(checked) == len(atoms) < size(f) // 2
+
+    def test_plan_checks_each_distinct_node_once(self, monkeypatch):
+        rng = random.Random(6)
+        f = parse_formula(
+            render_formula(
+                Prod(
+                    compile_array_to_formula(rand_array(rng, 6, 6)),
+                    input_vector_formula("011011", Q),
+                )
+            ),
+            Q,
+        )
+        checked = []
+        real = formula_module._checked_order
+        monkeypatch.setattr(
+            formula_module,
+            "_checked_order",
+            lambda node, cap, pos: checked.append(node) or real(node, cap, pos),
+        )
+        evaluate(f)
+        assert sorted(map(id, checked)) == sorted(map(id, distinct_nodes(f)))
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_shared_and_tree_agree(self, data):
+        tag = data.draw(st.sampled_from(list(Tag)))
+        n = data.draw(st.integers(2, 6))
+        cols = data.draw(st.sampled_from([1, n]))
+        f = parse_formula(
+            render_formula(rand_mixed(data, tag, n, cols, max_depth=4)), tag
+        )
+        tree = unshared(f)
+        assert check_osl(f) == check_osl(tree)
+        cap = data.draw(st.integers(1, 64))
+        try:
+            value = evaluate(tree, entry_cap=cap)
+        except CapExceededError:
+            assert _cap_error(f, cap) == _cap_error(tree, cap)
+        else:
+            assert evaluate(f, entry_cap=cap) == value
+
+
+SIDES =pytest.mark.parametrize("side", ["left", "right"])
 
 
 def deep_chain(side, tag, count=10_000, tail="[[0][1]]"):

@@ -318,3 +318,23 @@ class TestPartialTrace:
         p = data.draw(st.permutations(range(n)))
         v = mat_mul(Matrix.from_perm(Q, p), basis_vector(n, i, Q))
         assert partial_trace_outer(v, n).is_one()
+
+    @given(st.sampled_from([Q, Tag.GAUSSIAN_RATIONAL, B]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sum_of_squared_tail(self, tag, data):
+        # Mostly zero columns, as compiled circuits give; k may pass the end.
+        n = data.draw(st.integers(1, 8))
+        parts = st.sampled_from([0, 0, 0, 1, -1, Fraction(3, 5), Fraction(-1, 2)])
+        if tag is B:
+            parts = st.sampled_from([0, 0, 1])
+        pairs = [
+            (data.draw(parts), data.draw(parts) if tag is Tag.GAUSSIAN_RATIONAL else 0)
+            for _ in range(n)
+        ]
+        v = Matrix.from_entries(tag, n, 1, [make_scalar(tag, a, b) for a, b in pairs])
+        k = data.draw(st.integers(0, n + 3))
+        expected = sum(a * a + b * b for a, b in pairs[max(n - k, 0):])
+        got = partial_trace_outer(v, k)
+        assert got.tag is (Q if tag is Tag.GAUSSIAN_RATIONAL else tag)
+        assert got.re == (min(expected, 1) if tag is B else expected)
+        assert got.im == 0

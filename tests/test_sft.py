@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from generators import rand_array, rand_osl_formula
+from generators import rand_array, rand_osl_formula, unshared
 
 from sft_tensor.circuit import (
     StateVector,
@@ -14,9 +16,17 @@ from sft_tensor.circuit import (
     simulate,
 )
 from sft_tensor.errors import CapExceededError, ValidationError
-from sft_tensor.formula import Atom, Prod, Tensor, evaluate
+from sft_tensor.formula import (
+    Atom,
+    Prod,
+    Tensor,
+    check_osl,
+    evaluate,
+    parse_formula,
+    render_formula,
+)
 from sft_tensor.forward_compiler import compile_array_to_formula, input_vector_formula
-from sft_tensor.linalg import Matrix, basis_vector, mat_mul
+from sft_tensor.linalg import Matrix, basis_vector, identity, mat_mul
 from sft_tensor.semiring import Tag, make_scalar
 from sft_tensor.sft import SftInstance, SftVerdict, boolean_fastpath, decide_sft
 
@@ -107,6 +117,38 @@ class TestDecide:
             k = rng.randint(1, 10)
             value = decide_sft(SftInstance(f, k=k)).value
             assert 0 <= value.re <= 1
+
+
+class TestSharedSubtrees:
+    """A formula whose equal subtrees are one node decides as the same
+    formula written as a tree."""
+
+    def test_doubling_dag_of_60_levels(self):
+        # f_(i+1) = f_i * f_i: 2^60 NOT occurrences, 62 distinct nodes.
+        f = Atom(builtin_gate("not", Q))
+        for _ in range(60):
+            f = Prod(f, f)
+        assert evaluate(f) == identity(2, Q)
+        column = Prod(f, Atom(basis_vector(2, 1, Q)))
+        assert check_osl(column).is_osl
+        assert evaluate(column) == basis_vector(2, 1, Q)
+        assert decide_sft(SftInstance(column, k=1)).value.is_zero()
+        assert decide_sft(SftInstance(column, k=2)).accept
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_shared_and_tree_agree(self, data):
+        tag = data.draw(st.sampled_from(list(Tag)))
+        rng = random.Random(data.draw(st.integers(0, 1 << 32)))
+        g = rand_osl_formula(rng, tag, max_depth=3, max_rows=8)
+        # Parsing the text of g # g gives every repeated subtree one node.
+        f = parse_formula(render_formula(Tensor(g, g)), tag)
+        assert f.left is f.right
+        tree = unshared(f)
+        assert check_osl(f) == check_osl(tree)
+        assert evaluate(f) == evaluate(tree)
+        inst = dict(k=data.draw(st.integers(1, 70)), variant="promise")
+        assert decide_sft(SftInstance(f, **inst)) == decide_sft(SftInstance(tree, **inst))
 
 
 class TestBooleanFastpath:
