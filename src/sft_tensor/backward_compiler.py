@@ -223,29 +223,53 @@ def _default_column_pad(m: Matrix):
     return pad_atom(m), m.rows
 
 
-def _pad(f: Formula, column_pad):
-    """Padding pass for walk, one call per occurrence of each node, so
-    column_pad sees every occurrence of a shared column atom; returns
-    (padded, true_rows, true_cols).
+def _pad(f: Formula, column_pad, done: dict):
+    """Padding pass for walk; returns (padded, true_rows, true_cols).
+
+    The padded formula is a DAG.  A subtree that holds no column atom is
+    padded once and kept in done by id; column atoms go through
+    column_pad at every occurrence, so it sees every occurrence of a
+    shared column atom.  A node whose padded children are its own
+    children is returned as it is, so a formula whose orders are all
+    powers of 2 pads to itself.
 
     Only the structure and the atoms of f are consulted, never its cached
     orders, so trees whose orders were knocked out by an earlier atom
     rewrite (denominator padding) pass through fine.
     """
-    tag = f.tag
     if isinstance(f, Atom):
         m = f.matrix
         if m.cols == 1 and m.rows > 1:
             padded_matrix, true_rows = column_pad(m)
-            return Atom(padded_matrix), true_rows, 1
-        return Atom(pad_atom(m)), m.rows, m.cols
+            padded = f if padded_matrix is m else Atom(padded_matrix)
+            return padded, true_rows, 1
+        padded_matrix = pad_atom(m)
+        padded = f if padded_matrix is m else Atom(padded_matrix)
+        done[id(f)] = padded, m.rows, m.cols
+        return done[id(f)]
     if not isinstance(f, (Tensor, Prod)):
         raise ValidationError("padding is defined for sum-free formulas only")
-    ph, rh, ch = yield _pad(f.left, column_pad)
-    pk, rk, ck = yield _pad(f.right, column_pad)
+    left = done.get(id(f.left))
+    if left is None:
+        left = yield _pad(f.left, column_pad, done)
+    right = done.get(id(f.right))
+    if right is None:
+        right = yield _pad(f.right, column_pad, done)
+    result = _pad_binary(f, left, right)
+    if id(f.left) in done and id(f.right) in done:
+        done[id(f)] = result
+    return result
+
+
+def _pad_binary(f: Formula, left: tuple, right: tuple) -> tuple:
+    """The padded Tensor or Prod node f from its children's results."""
+    tag = f.tag
+    ph, rh, ch = left
+    pk, rk, ck = right
+    same = ph is f.left and pk is f.right
 
     if isinstance(f, Tensor):
-        padded = Tensor(ph, pk)
+        padded = f if same else Tensor(ph, pk)
         row_fix = _row_fix(rh, ph.order[0], rk, pk.order[0], tag)
         if row_fix is not None:
             padded = Prod(row_fix, padded)
@@ -257,7 +281,7 @@ def _pad(f: Formula, column_pad):
     inner_left = ph.order[1]
     inner_right = pk.order[0]
     if inner_left == inner_right:
-        return Prod(ph, pk), rh, ck
+        return f if same else Prod(ph, pk), rh, ck
     if inner_left < inner_right:
         i = _log2(inner_right // inner_left)
         wide = Tensor(_identity_pow2_formula(i, tag), ph)
@@ -276,7 +300,7 @@ def pad_formula(f: Formula, checked: bool = True) -> PaddedFormula:
     """
     if checked:
         check_osl(f).raise_unless_osl()
-    padded, true_rows, _ = walk(_pad(f, _default_column_pad))
+    padded, true_rows, _ = walk(_pad(f, _default_column_pad, {}))
     return PaddedFormula(original=f, padded=padded, block_length=true_rows)
 
 
@@ -383,7 +407,7 @@ def pad_formula_with_denominators(f: Formula, k: int):
         deltas.append(pad.scale)
         return pad_atom(pad.padded), m.rows
 
-    padded, true_rows, _ = walk(_pad(f, column_pad))
+    padded, true_rows, _ = walk(_pad(f, column_pad, {}))
     n_out = true_rows
     total = padded.order[0]
     k_eff = min(k, n_out)

@@ -188,6 +188,8 @@ def cmd_compile_formula(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.k is not None and args.k < 1:
+        raise ValidationError(f"k must be positive, got {args.k}")
     tag = TAGS[args.semiring]
     array, state = parse_gate_array(_read(args.file), tag)
     if state is None:
@@ -199,8 +201,6 @@ def cmd_simulate(args) -> int:
     else:
         print(f"output amps {render_formula(Atom(out.amplitudes))}")
     if args.k is not None:
-        if args.k < 1:
-            raise ValidationError(f"k must be positive, got {args.k}")
         weight = acceptance_probability(out, args.k)
         print(f"probability {render_scalar(weight)}")
     return 0

@@ -31,10 +31,12 @@ the package (the gate-array format's inline matrices use it too).
 
 The text is a tree, but a parsed formula is a DAG: equal atom texts in
 one formula are read once and share one Atom, and equal subtrees share
-one node.  check_osl and evaluation key their work on node identity, so
-they do it once per distinct subtree; passes whose output is per
-occurrence (rendering, size, the backward compiler's padding and gate
-reading) still walk every occurrence.
+one node.  The forward compiler's output is a DAG in the same way.
+check_osl, evaluation, rendering, size and diameter key their work on
+node identity, so they do it once per distinct subtree (rendering copies
+a shared subtree's text at each later occurrence).  The backward
+compiler pads each distinct subtree without column atoms once; only its
+gate reading still walks every occurrence.
 
 Evaluation is post-order, left child first.  Every node's order,
 including atoms', is checked against an entry cap before any work on that
@@ -293,6 +295,21 @@ def scan_atom(text: str, pos: int, tag: Tag, memo: dict) -> tuple:
     return Matrix.from_rows(tag, rows), at + 1
 
 
+def _shared_node(nodes: dict, kind, left: Formula, right: Formula) -> Formula:
+    """The node kind(left, right) from nodes, built on first use.
+
+    It is keyed on (kind, id(left), id(right)), never on the node, whose
+    dataclass hash and == recurse.  Every node built stays reachable from
+    the dict, so as long as the leaves stay alive too, no id is reused
+    while the dict is in use.
+    """
+    key = (kind, id(left), id(right))
+    node = nodes.get(key)
+    if node is None:
+        node = nodes[key] = kind(left, right)
+    return node
+
+
 def _parse(text: str, tag: Tag) -> Formula:
     # One frame per open '(': None until its left operand is complete, then
     # (left, node type) until its right operand and ')' are.
@@ -302,9 +319,6 @@ def _parse(text: str, tag: Tag) -> Formula:
     # on its text, so equal atom texts are scanned once and share one Atom.
     # That ']]' (close; len(text) if none) is searched for, and the text
     # looked up, only once pos passes it: linear even for '] ]' atoms.
-    # A binary node is keyed on (kind, id(left), id(right)), never on the
-    # node, whose dataclass hash and == recurse.  Every node built stays
-    # reachable from the dict, so no id is reused within one parse.
     atoms: dict = {}
     nodes: dict = {}
     close = -1
@@ -337,10 +351,7 @@ def _parse(text: str, tag: Tag) -> Formula:
             left, kind = frames.pop()
             if text[pos : pos + 1] != ")":
                 raise ParseError("expected ')'", pos)
-            key = (kind, id(left), id(node))
-            if key not in nodes:
-                nodes[key] = kind(left, node)
-            node = nodes[key]
+            node = _shared_node(nodes, kind, left, node)
             pos = _WS_RUN.match(text, pos + 1).end()
         if not frames:
             if pos != len(text):
@@ -389,23 +400,46 @@ def parse_formula(text: str, tag: Tag, mode: str = "strict") -> Formula:
 
 
 def render_formula(f: Formula) -> str:
-    """Fully parenthesised text; parse_formula round-trips it structurally."""
+    """Fully parenthesised text; parse_formula round-trips it structurally.
+
+    Each distinct node is rendered once: its text is the slice
+    parts[start:end] recorded in spans, and every later occurrence copies
+    that slice, so no string is built per node.
+    """
     parts = []
-    texts = {}  # id(matrix) -> text: a shared atom is rendered once
+    spans = {}  # id(node) -> (start, end) of its text in parts
+    texts = {}  # id(matrix) -> text: a shared matrix is rendered once
+    scalars = {}  # id(scalar) -> text: so is a shared entry
+
+    def entry(s) -> str:
+        text = scalars.get(id(s))
+        if text is None:
+            text = scalars[id(s)] = render_scalar(s)
+        return text
 
     def visit(node):
-        if isinstance(node, Atom):
+        start = len(parts)
+        if type(node) is Atom:
             m = node.matrix
             if id(m) not in texts:
-                rows = (" ".join(map(render_scalar, m.row(r))) for r in range(m.rows))
+                rows = (" ".join(map(entry, m.row(r))) for r in range(m.rows))
                 texts[id(m)] = "[[%s]]" % "][".join(rows)
             parts.append(texts[id(m)])
-            return
-        parts.append("(")
-        yield visit(node.left)
-        parts.append(_OP_CHAR[type(node)])
-        yield visit(node.right)
-        parts.append(")")
+        else:
+            parts.append("(")
+            span = spans.get(id(node.left))
+            if span is None:
+                yield visit(node.left)
+            else:
+                parts.extend(parts[span[0] : span[1]])
+            parts.append(_OP_CHAR[type(node)])
+            span = spans.get(id(node.right))
+            if span is None:
+                yield visit(node.right)
+            else:
+                parts.extend(parts[span[0] : span[1]])
+            parts.append(")")
+        spans[id(node)] = (start, len(parts))
 
     walk(visit(f))
     return "".join(parts)
@@ -415,20 +449,46 @@ def render_formula(f: Formula) -> str:
 # Structural metrics and predicates
 
 
+def _distinct_nodes(f: Formula) -> list:
+    """Each distinct node of f once, every node after its children."""
+    out = []
+    seen = set()
+    stack = [(f, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            out.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            if type(node) is not Atom:
+                stack += [(node.right, False), (node.left, False)]
+    return out
+
+
 def size(f: Formula) -> int:
-    """Number of nodes: 1 for an atom, else 1 + sizes of both children."""
-    return len(_subformulas(f))
+    """Number of nodes: 1 for an atom, else 1 + sizes of both children.
+
+    A shared node counts at every occurrence, but is sized once."""
+    sizes = {}
+    for node in _distinct_nodes(f):
+        sizes[id(node)] = (
+            1
+            if type(node) is Atom
+            else 1 + sizes[id(node.left)] + sizes[id(node.right)]
+        )
+    return sizes[id(f)]
 
 
 def diameter(f: Formula) -> int:
     """Largest order component appearing anywhere in the formula."""
     if not f.is_valid:
         raise ValidationError("diameter of an invalid formula is undefined")
-    return max(max(node.order) for node, _ in _subformulas(f))
+    return max(max(node.order) for node in _distinct_nodes(f))
 
 
 def is_sum_free(f: Formula) -> bool:
-    return not any(isinstance(node, Sum) for node, _ in _subformulas(f))
+    return not any(type(node) is Sum for node in _distinct_nodes(f))
 
 
 @dataclass(frozen=True)

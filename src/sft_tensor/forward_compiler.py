@@ -31,17 +31,24 @@ inverse=False: the value on wire k jumps up to wire j and the values on
 wires j..k-1 slide down one place.  inverse=True undoes that.  Everything
 here is verified extensionally against the simulator, so the conventions
 are pinned by tests rather than prose.
+
+The output is a DAG, not a tree.  Each call builds its nodes through one
+table: each distinct atom matrix is one Atom, and each binary node is one
+object per (kind, left, right), as the parser keys them.  So every swap
+round, identity chain and gate atom that recurs is one shared object, and
+passes that key their work on node identity (rendering, evaluation,
+padding) do it once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import Sequence, Union
 
 from .circuit import Gate, GateArray, validate_array
 from .errors import ValidationError
-from .formula import Atom, Formula, Prod, Tensor, balanced_prod, balanced_tensor
+from .formula import Atom, Formula, Prod, Tensor, _balance, _shared_node
 from .linalg import Matrix, basis_vector, identity, is_unit_column
 from .semiring import Tag
 
@@ -56,15 +63,42 @@ __all__ = [
 ]
 
 
-def _wire_atoms(n: int, tag: Tag) -> list:
-    return [Atom(identity(2, tag))] * n
+class _Nodes:
+    """The node table of one compile.
+
+    A permutation matrix is keyed on its permutation and any other matrix
+    on itself, so each distinct atom matrix is one Atom.  Binary nodes go
+    through _shared_node, so equal subtrees are one object.  The table
+    holds every node it built, so no id is reused while it is in use.
+    """
+
+    def __init__(self, tag: Tag):
+        self.atoms: dict = {}
+        self.nodes: dict = {}
+        self.wire = self.atom(identity(2, tag))
+        self.swap = self.atom(Matrix.from_perm(tag, [0, 2, 1, 3]))
+
+    def atom(self, m: Matrix) -> Atom:
+        perm = m.perm_or_none()
+        key = m if perm is None else perm
+        atom = self.atoms.get(key)
+        if atom is None:
+            atom = self.atoms[key] = Atom(m)
+        return atom
+
+    def chain(self, kind, factors: Sequence[Formula]) -> Formula:
+        """factors joined by kind left to right, as a balanced tree."""
+        return _balance(partial(_shared_node, self.nodes, kind), factors)
+
+    def identity(self, n: int) -> Formula:
+        return self.chain(Tensor, [self.wire] * n)
 
 
 def identity_formula(n: int, tag: Tag) -> Formula:
     """Tensor power I_2^(x)n as a balanced chain."""
     if n < 1:
         raise ValidationError("identity formula needs at least one wire")
-    return balanced_tensor(_wire_atoms(n, tag))
+    return _Nodes(tag).identity(n)
 
 
 def odd_even_rounds(start: Sequence[int], target: Sequence[int]) -> list:
@@ -96,16 +130,28 @@ def odd_even_rounds(start: Sequence[int], target: Sequence[int]) -> list:
     return rounds
 
 
-def _round_formula(swaps: Sequence[int], n: int, tag: Tag) -> Formula:
+def _chain(t: _Nodes, blocks: Sequence[tuple], n: int) -> Formula:
+    """Tensor chain of the (first wire, last wire, atom) blocks, given in
+    wire order, with an I_2 atom on every wire no block covers."""
+    parts = []
+    wire = 1
+    for lo, hi, atom in blocks:
+        parts += [t.wire] * (lo - wire)
+        parts.append(atom)
+        wire = hi + 1
+    parts += [t.wire] * (n - wire + 1)
+    return t.chain(Tensor, parts)
+
+
+def _round_formula(t: _Nodes, swaps: Sequence[int], n: int) -> Formula:
     """Tensor chain swapping wires p, p+1 for each p in swaps."""
-    swap = Matrix.from_perm(tag, [0, 2, 1, 3])
-    return level_matrix_formula([Gate((p, p + 1), swap) for p in swaps], n, tag)
+    return _chain(t, [(p, p + 1, t.swap) for p in swaps], n)
 
 
-def _route(start: Sequence[int], target: Sequence[int], tag: Tag) -> list:
+def _route(t: _Nodes, start: Sequence[int], target: Sequence[int]) -> list:
     """Round formulas in application order (first round first)."""
     n = len(start)
-    return [_round_formula(r, n, tag) for r in odd_even_rounds(start, target)]
+    return [_round_formula(t, r, n) for r in odd_even_rounds(start, target)]
 
 
 def cycle_formula(
@@ -120,10 +166,11 @@ def cycle_formula(
     """
     if not 1 <= j < k <= n:
         raise ValidationError(f"need 1 <= j < k <= n, got j={j} k={k} n={n}")
-    factors = [_round_formula((p,), n, tag) for p in range(j, k)]
+    t = _Nodes(tag)
+    factors = [_round_formula(t, (p,), n) for p in range(j, k)]
     if inverse:
         factors.reverse()
-    return balanced_prod(factors)
+    return t.chain(Prod, factors)
 
 
 def _sorted_level(level: Sequence[Gate]) -> list:
@@ -156,7 +203,11 @@ def _packed_level(gates: Sequence[Gate], target: Sequence[int]) -> list:
 
 def level_matrix_formula(level: Sequence[Gate], n: int, tag: Tag) -> Formula:
     """Tensor chain for a level whose gates all sit on consecutive wires."""
-    parts = []
+    return _level_formula(_Nodes(tag), level, n)
+
+
+def _level_formula(t: _Nodes, level: Sequence[Gate], n: int) -> Formula:
+    blocks = []
     wire = 1
     for gate in _sorted_level(level):
         lo, hi = gate.wires[0], gate.wires[-1]
@@ -167,11 +218,9 @@ def level_matrix_formula(level: Sequence[Gate], n: int, tag: Tag) -> Formula:
             )
         if lo < wire or hi > n:
             raise ValidationError(f"gate wires {gate.wires} do not fit in {n}")
-        parts.extend(_wire_atoms(lo - wire, tag))
-        parts.append(Atom(gate.matrix))
+        blocks.append((lo, hi, t.atom(gate.matrix)))
         wire = hi + 1
-    parts.extend(_wire_atoms(n - wire + 1, tag))
-    return balanced_tensor(parts)
+    return _chain(t, blocks, n)
 
 
 @dataclass(frozen=True)
@@ -226,16 +275,16 @@ def adjacency_normalize(level: Sequence[Gate], n: int, tag: Tag) -> LevelPlan:
             cycles.append((i, h))
             current.insert(i - 1, current.pop(h - 1))
 
+    t = _Nodes(tag)
     packed = _packed_level(gates, target_order)
-    rounds = _route(home, target_order, tag)
+    rounds = _route(t, home, target_order)
     if rounds:
         # Operator order: the first round is applied first, so it sits
         # rightmost; each round is its own inverse.
-        p_sigma = balanced_prod(rounds[::-1])
-        p_sigma_inv = balanced_prod(rounds)
+        p_sigma = t.chain(Prod, rounds[::-1])
+        p_sigma_inv = t.chain(Prod, rounds)
     else:
-        p_sigma = identity_formula(n, tag)
-        p_sigma_inv = identity_formula(n, tag)
+        p_sigma = p_sigma_inv = t.identity(n)
 
     return LevelPlan(
         n=n,
@@ -243,7 +292,7 @@ def adjacency_normalize(level: Sequence[Gate], n: int, tag: Tag) -> LevelPlan:
         sigma=tuple(sigma),
         cycles=tuple(cycles),
         packed_level=tuple(packed),
-        packed_formula=level_matrix_formula(packed, n, tag),
+        packed_formula=_level_formula(t, packed, n),
         p_sigma=p_sigma,
         p_sigma_inv=p_sigma_inv,
     )
@@ -255,12 +304,14 @@ def compile_array_to_formula(c: GateArray) -> Formula:
     Wires are routed once between consecutive levels (see the module
     docstring).  Level 1 ends up rightmost in the product; the chain is
     balanced, so depth grows with log of the chain count.  An array
-    without gates compiles to the identity.
+    without gates compiles to the identity.  The result is a DAG: equal
+    subtrees are one object.
     """
     report = validate_array(c)
     if not report.ok:
         raise ValidationError(f"invalid gate array: {report.violations[0]}")
-    n, tag = c.width, c.tag
+    n = c.width
+    t = _Nodes(c.tag)
     home = list(range(1, n + 1))
     current = home
     factors = []  # in application order
@@ -269,14 +320,14 @@ def compile_array_to_formula(c: GateArray) -> Formula:
         if not gates:
             continue
         target = _packed_target(gates, current)
-        factors += _route(current, target, tag)
-        factors.append(level_matrix_formula(_packed_level(gates, target), n, tag))
+        factors += _route(t, current, target)
+        factors.append(_level_formula(t, _packed_level(gates, target), n))
         current = target
     if not factors:
-        return identity_formula(n, tag)
-    factors += _route(current, home, tag)
+        return t.identity(n)
+    factors += _route(t, current, home)
     factors.reverse()
-    return balanced_prod(factors)
+    return t.chain(Prod, factors)
 
 
 InputSpec = Union[str, Sequence[Matrix]]

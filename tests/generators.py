@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 from sft_tensor.circuit import BUILTIN_GATE_NAMES, Gate, GateArray, builtin_gate
-from sft_tensor.formula import Atom, Formula, Prod, Tensor
+from sft_tensor.formula import Atom, Formula, Prod, Tensor, walk
 from sft_tensor.linalg import Matrix, basis_vector, mat_mul
 from sft_tensor.semiring import (
     Tag,
@@ -184,10 +184,16 @@ def rand_osl_formula(
 
 def unshared(f: Formula) -> Formula:
     """A copy of f with a fresh node for every occurrence: the same
-    formula written as a tree."""
-    if isinstance(f, Atom):
-        return Atom(f.matrix)
-    return type(f)(unshared(f.left), unshared(f.right))
+    formula written as a tree.  Runs on walk, so deep chains copy too."""
+
+    def copy(node):
+        if isinstance(node, Atom):
+            return Atom(node.matrix)
+        left = yield copy(node.left)
+        right = yield copy(node.right)
+        return type(node)(left, right)
+
+    return walk(copy(f))
 
 
 def distinct_nodes(f: Formula) -> list:

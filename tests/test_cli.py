@@ -209,8 +209,11 @@ class TestSimulate:
         assert main(["simulate", path]) == 3
         assert "no input" in capsys.readouterr().err
 
-    def test_bad_k(self, toffoli_file):
+    def test_bad_k(self, toffoli_file, capsys):
         assert main(["simulate", "--k", "0", toffoli_file]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: k must be positive, got 0\n"
 
     def test_missing_file(self, capsys):
         assert main(["simulate", "/definitely/not/here"]) == 3

@@ -517,6 +517,15 @@ class TestDeepChains:
         assert render_formula(f) == nested(side, [self.NOT] * self.DEPTH + ["[[0][1]]"])
 
     @SIDES
+    def test_shared_and_tree_agree(self, side):
+        f = deep_chain(side, Q)
+        tree = unshared(f)
+        assert render_formula(tree) == render_formula(f)
+        assert (size(tree), diameter(tree)) == (size(f), diameter(f))
+        assert check_osl(tree) == check_osl(f)
+        assert evaluate(tree) == evaluate(f)
+
+    @SIDES
     def test_value_matches_shallow(self, side):
         f = deep_chain(side, Q)
         shallow = evaluate(parse_formula("[[0][1]]", Q))
@@ -633,6 +642,15 @@ class TestMetrics:
         f = balanced_tensor(leaves)
         assert depth(f) == 3
         assert diameter(f) == 2 ** (2 ** 3) == 256
+
+    def test_shared_node_counts_at_every_occurrence(self):
+        # 60 squarings of one atom: 2^61 - 1 nodes written as a tree, 61
+        # distinct nodes, each sized once.
+        f = Atom(mx([[1, 2], [3, 4]]))
+        for _ in range(60):
+            f = Prod(f, f)
+        assert size(f) == 2**61 - 1
+        assert diameter(f) == 2
 
     def test_diameter_requires_valid(self):
         with pytest.raises(ValidationError):

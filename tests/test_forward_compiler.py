@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sft_tensor.backward_compiler import formula_to_array, pad_formula
 from sft_tensor.circuit import (
     Gate,
     GateArray,
     StateVector,
     builtin_gate,
     level_operator,
+    render_gate_array,
     simulate,
 )
 from sft_tensor.errors import ValidationError
@@ -24,6 +26,9 @@ from sft_tensor.formula import (
     check_osl,
     evaluate,
     is_sum_free,
+    parse_formula,
+    render_formula,
+    size,
 )
 from sft_tensor.forward_compiler import (
     adjacency_normalize,
@@ -37,7 +42,7 @@ from sft_tensor.forward_compiler import (
 from sft_tensor.linalg import Matrix, basis_vector, identity, mat_mul
 from sft_tensor.semiring import Tag, make_scalar
 
-from generators import rand_array
+from generators import distinct_nodes, rand_array, unshared
 
 Q = Tag.RATIONAL
 
@@ -373,6 +378,56 @@ class TestMergedRouting:
     def test_gateless_array_is_identity_formula(self):
         arr = GateArray(Q, 3, ((), ()))
         assert compile_array_to_formula(arr) == identity_formula(3, Q)
+
+
+class TestSharedOutput:
+    """The compiled formula is a DAG that means the same as its tree."""
+
+    @pytest.mark.parametrize("tag", list(Tag), ids=lambda t: t.value)
+    def test_renders_as_its_tree(self, tag):
+        rng = random.Random(13)
+        for width in (2, 5, 8):
+            f = compile_array_to_formula(rand_array(rng, width, 6, tag))
+            assert render_formula(f) == render_formula(unshared(f))
+            assert size(f) == size(unshared(f))
+
+    def test_repeated_levels_share_every_node(self):
+        # The level's gates stay gathered, so each repeat adds the same
+        # chain again: only the balanced product above the chains grows,
+        # by at most two distinct nodes per doubling of the level count.
+        level = (
+            Gate((5, 2), builtin_gate("cnot", Q)),
+            Gate((1, 6, 3), builtin_gate("toffoli", Q)),
+            Gate((4,), builtin_gate("rot35", Q)),
+        )
+        one = distinct_nodes(compile_array_to_formula(GateArray(Q, 6, (level,))))
+        f = compile_array_to_formula(GateArray(Q, 6, (level,) * 16))
+        nodes = distinct_nodes(f)
+        atoms = [n for n in nodes if isinstance(n, Atom)]
+        # I_2, the swap, cnot, toffoli and rot35, each one Atom.
+        assert len(atoms) == len({render_formula(a) for a in atoms}) == 5
+        assert len(nodes) <= len(one) + 2 * 4
+
+    @pytest.mark.parametrize("tag", [Q, Tag.BOOLEAN], ids=lambda t: t.value)
+    def test_compiled_circuit_pads_to_itself(self, tag):
+        rng = random.Random(14)
+        for width in (3, 6):
+            arr = rand_array(rng, width, 6, tag)
+            bits = ("01" * width)[:width]
+            f = Prod(compile_array_to_formula(arr), input_vector_formula(bits, tag))
+            assert pad_formula(f).padded is f
+
+    @pytest.mark.parametrize("tag", [Q, Tag.BOOLEAN], ids=lambda t: t.value)
+    def test_parsed_dag_reads_as_its_tree(self, tag):
+        rng = random.Random(15)
+        arr = rand_array(rng, 6, 6, tag)
+        text = render_formula(
+            Prod(compile_array_to_formula(arr), input_vector_formula("011010", tag))
+        )
+        f = parse_formula(text, tag)
+        assert render_gate_array(*formula_to_array(f)) == render_gate_array(
+            *formula_to_array(unshared(f))
+        )
 
 
 class TestInputVectorFormula:
