@@ -449,10 +449,9 @@ def parse_gate_array(text: str, tag: Tag):
     return GateArray(tag, width, tuple(tuple(l) for l in levels)), state
 
 
-def _gate_spec(gate: Gate, tag: Tag) -> str:
-    """The builtin name of the gate's matrix under tag, else the inline
+def _gate_spec(m: Matrix, tag: Tag) -> str:
+    """The builtin name of gate matrix m under tag, else the inline
     matrix."""
-    m = gate.matrix
     if m.tag is tag:
         perm = m.perm_or_none()
         if perm in _PERM_NAMES:
@@ -463,13 +462,18 @@ def _gate_spec(gate: Gate, tag: Tag) -> str:
 
 
 def render_gate_array(c: GateArray, state: StateVector | None = None) -> str:
-    """Inverse of parse_gate_array; builtin matrices render by name."""
+    """Inverse of parse_gate_array; builtin matrices render by name.  Each
+    distinct matrix object is named or rendered once."""
+    specs: dict = {}  # id(gate.matrix) -> spec; c keeps the matrices alive
     lines = [f"width {c.width}"]
     for level in c.levels:
         lines.append("level")
         for gate in level:
+            spec = specs.get(id(gate.matrix))
+            if spec is None:
+                spec = specs[id(gate.matrix)] = _gate_spec(gate.matrix, c.tag)
             wires = " ".join(str(w) for w in gate.wires)
-            lines.append(f"gate {_gate_spec(gate, c.tag)} {wires}")
+            lines.append(f"gate {spec} {wires}")
     if state is not None:
         bits = state.basis_bits()
         if bits is not None:

@@ -22,16 +22,6 @@ instead of being sent home and fetched again.  The whole array is the
 product of these chains, level 1 rightmost, parenthesized as a balanced
 tree so the formula depth stays logarithmic in the chain count.
 
-LevelPlan describes one level on its own, as P_sigma^-1 . packed . P_sigma
-with P_sigma the route from the identity to the level's gates packed from
-wire 1 in order of their lowest wire; it also records sigma as a
-staircase of cycles, each of which cycle_formula turns into a ladder of
-single-swap chains.  Wire values move as follows in a cycle formula with
-inverse=False: the value on wire k jumps up to wire j and the values on
-wires j..k-1 slide down one place.  inverse=True undoes that.  Everything
-here is verified extensionally against the simulator, so the conventions
-are pinned by tests rather than prose.
-
 The output is a DAG, not a tree.  Each call builds its nodes through one
 table: each distinct atom matrix is one Atom, and each binary node is one
 object per (kind, left, right), as the parser keys them.  So every swap
@@ -42,7 +32,6 @@ padding) do it once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial, reduce
 from typing import Sequence, Union
 
@@ -53,12 +42,8 @@ from .linalg import Matrix, basis_vector, identity, is_unit_column
 from .semiring import Tag
 
 __all__ = [
-    "LevelPlan",
-    "adjacency_normalize",
     "compile_array_to_formula",
-    "cycle_formula",
     "input_vector_formula",
-    "level_matrix_formula",
     "odd_even_rounds",
 ]
 
@@ -92,13 +77,6 @@ class _Nodes:
 
     def identity(self, n: int) -> Formula:
         return self.chain(Tensor, [self.wire] * n)
-
-
-def identity_formula(n: int, tag: Tag) -> Formula:
-    """Tensor power I_2^(x)n as a balanced chain."""
-    if n < 1:
-        raise ValidationError("identity formula needs at least one wire")
-    return _Nodes(tag).identity(n)
 
 
 def odd_even_rounds(start: Sequence[int], target: Sequence[int]) -> list:
@@ -143,44 +121,14 @@ def _chain(t: _Nodes, blocks: Sequence[tuple], n: int) -> Formula:
     return t.chain(Tensor, parts)
 
 
-def _round_formula(t: _Nodes, swaps: Sequence[int], n: int) -> Formula:
-    """Tensor chain swapping wires p, p+1 for each p in swaps."""
-    return _chain(t, [(p, p + 1, t.swap) for p in swaps], n)
-
-
 def _route(t: _Nodes, start: Sequence[int], target: Sequence[int]) -> list:
-    """Round formulas in application order (first round first)."""
+    """Round formulas in application order (first round first), each a
+    tensor chain swapping wires p, p+1 for each p in the round."""
     n = len(start)
-    return [_round_formula(t, r, n) for r in odd_even_rounds(start, target)]
-
-
-def cycle_formula(
-    j: int, k: int, n: int, tag: Tag = Tag.RATIONAL, inverse: bool = False
-) -> Formula:
-    """Formula for the wire cycle (j, j+1, ..., k) on n wires.
-
-    inverse=False moves the value on wire k to wire j, sliding j..k-1 down
-    by one; inverse=True is the reverse rotation.  Built from adjacent
-    swaps only: the ladder S_{j,j+1} ... S_{k-1,k} applied right to left
-    (and in the opposite order for the inverse).
-    """
-    if not 1 <= j < k <= n:
-        raise ValidationError(f"need 1 <= j < k <= n, got j={j} k={k} n={n}")
-    t = _Nodes(tag)
-    factors = [_round_formula(t, (p,), n) for p in range(j, k)]
-    if inverse:
-        factors.reverse()
-    return t.chain(Prod, factors)
-
-
-def _sorted_level(level: Sequence[Gate]) -> list:
-    gates = sorted(level, key=lambda g: g.wires[0])
-    seen: set = set()
-    for g in gates:
-        if seen & set(g.wires):
-            raise ValidationError("gates in one level share a wire")
-        seen |= set(g.wires)
-    return gates
+    return [
+        _chain(t, [(p, p + 1, t.swap) for p in swaps], n)
+        for swaps in odd_even_rounds(start, target)
+    ]
 
 
 def _packed_target(gates: Sequence[Gate], current: Sequence[int]) -> list:
@@ -201,101 +149,10 @@ def _packed_level(gates: Sequence[Gate], target: Sequence[int]) -> list:
     return [Gate(tuple(at[w] for w in g.wires), g.matrix) for g in gates]
 
 
-def level_matrix_formula(level: Sequence[Gate], n: int, tag: Tag) -> Formula:
-    """Tensor chain for a level whose gates all sit on consecutive wires."""
-    return _level_formula(_Nodes(tag), level, n)
-
-
 def _level_formula(t: _Nodes, level: Sequence[Gate], n: int) -> Formula:
-    blocks = []
-    wire = 1
-    for gate in _sorted_level(level):
-        lo, hi = gate.wires[0], gate.wires[-1]
-        if gate.wires != tuple(range(lo, hi + 1)):
-            raise ValidationError(
-                f"gate wires {gate.wires} are not consecutive; "
-                "normalize the level first"
-            )
-        if lo < wire or hi > n:
-            raise ValidationError(f"gate wires {gate.wires} do not fit in {n}")
-        blocks.append((lo, hi, t.atom(gate.matrix)))
-        wire = hi + 1
-    return _chain(t, blocks, n)
-
-
-@dataclass(frozen=True)
-class LevelPlan:
-    """Adjacency plan for one level on its own.
-
-    sigma maps each original wire to its packed position; cycles describes
-    sigma as a staircase of cycles (cycle i leaves wires below its start
-    untouched).  p_sigma is the odd-even route from the identity to the
-    packed arrangement and p_sigma_inv the same rounds in reverse order.
-    formula evaluates to the level's full 2^n operator.
-    """
-
-    n: int
-    tag: Tag
-    sigma: tuple
-    cycles: tuple
-    packed_level: tuple
-    packed_formula: Formula
-    p_sigma: Formula
-    p_sigma_inv: Formula
-
-    @property
-    def formula(self) -> Formula:
-        if not self.cycles:
-            return self.packed_formula
-        return Prod(self.p_sigma_inv, Prod(self.packed_formula, self.p_sigma))
-
-
-def adjacency_normalize(level: Sequence[Gate], n: int, tag: Tag) -> LevelPlan:
-    """Left-pack the level's gates and build the correcting permutations.
-
-    Gates are ordered by their lowest wire and assigned consecutive wire
-    blocks from wire 1 up; untouched wires fill the remaining positions in
-    increasing order.
-    """
-    gates = _sorted_level(level)
-    home = list(range(1, n + 1))
-    touched = [w for g in gates for w in g.wires]
-    target_order = touched + [w for w in home if w not in touched]
-    sigma = [0] * n
-    for pos, orig in enumerate(target_order, start=1):
-        sigma[orig - 1] = pos
-
-    # Selection sort with down-cycles: put the right value on wire i, then
-    # never touch wires 1..i again.
-    current = list(home)
-    cycles = []
-    for i in range(1, n + 1):
-        h = current.index(target_order[i - 1], i - 1) + 1
-        if h != i:
-            cycles.append((i, h))
-            current.insert(i - 1, current.pop(h - 1))
-
-    t = _Nodes(tag)
-    packed = _packed_level(gates, target_order)
-    rounds = _route(t, home, target_order)
-    if rounds:
-        # Operator order: the first round is applied first, so it sits
-        # rightmost; each round is its own inverse.
-        p_sigma = t.chain(Prod, rounds[::-1])
-        p_sigma_inv = t.chain(Prod, rounds)
-    else:
-        p_sigma = p_sigma_inv = t.identity(n)
-
-    return LevelPlan(
-        n=n,
-        tag=tag,
-        sigma=tuple(sigma),
-        cycles=tuple(cycles),
-        packed_level=tuple(packed),
-        packed_formula=_level_formula(t, packed, n),
-        p_sigma=p_sigma,
-        p_sigma_inv=p_sigma_inv,
-    )
+    """Tensor chain for a packed level: each gate on consecutive wires."""
+    gates = sorted(level, key=lambda g: g.wires[0])
+    return _chain(t, [(g.wires[0], g.wires[-1], t.atom(g.matrix)) for g in gates], n)
 
 
 def compile_array_to_formula(c: GateArray) -> Formula:
@@ -316,12 +173,11 @@ def compile_array_to_formula(c: GateArray) -> Formula:
     current = home
     factors = []  # in application order
     for level in c.levels:
-        gates = _sorted_level(level)
-        if not gates:
+        if not level:
             continue
-        target = _packed_target(gates, current)
+        target = _packed_target(level, current)
         factors += _route(t, current, target)
-        factors.append(_level_formula(t, _packed_level(gates, target), n))
+        factors.append(_level_formula(t, _packed_level(level, target), n))
         current = target
     if not factors:
         return t.identity(n)

@@ -1,4 +1,5 @@
-"""Gate array to formula: cycles, level plans, full-array compilation."""
+"""Gate array to formula: odd-even routing, full-array compilation, shared
+output, input columns."""
 
 import math
 import random
@@ -23,6 +24,7 @@ from sft_tensor.formula import (
     Atom,
     Prod,
     Tensor,
+    balanced_tensor,
     check_osl,
     evaluate,
     is_sum_free,
@@ -31,12 +33,8 @@ from sft_tensor.formula import (
     size,
 )
 from sft_tensor.forward_compiler import (
-    adjacency_normalize,
     compile_array_to_formula,
-    cycle_formula,
-    identity_formula,
     input_vector_formula,
-    level_matrix_formula,
     odd_even_rounds,
 )
 from sft_tensor.linalg import Matrix, basis_vector, identity, mat_mul
@@ -45,30 +43,13 @@ from sft_tensor.semiring import Tag, make_scalar
 from generators import distinct_nodes, rand_array, unshared
 
 Q = Tag.RATIONAL
+CNOT = builtin_gate("cnot", Q)
 
 
 def mx(rows, tag=Q) -> Matrix:
     return Matrix.from_rows(
         tag, [[make_scalar(tag, Fraction(v)) for v in row] for row in rows]
     )
-
-
-def cycle_perm_matrix(j, k, n, inverse=False) -> Matrix:
-    """Brute-force oracle: build the cycle's 2^n permutation directly from
-    the wire-relabeling semantics."""
-    target = {p: p for p in range(1, n + 1)}
-    for p in range(j, k):
-        target[p] = p + 1
-    target[k] = j
-    if inverse:
-        target = {v: p for p, v in target.items()}
-    rho = [0] * (1 << n)
-    for x in range(1 << n):
-        y = 0
-        for p in range(1, n + 1):
-            y |= ((x >> (n - p)) & 1) << (n - target[p])
-        rho[x] = y
-    return Matrix.from_perm(Q, rho)
 
 
 def formula_depth(f):
@@ -81,135 +62,6 @@ def atom_count(f):
     if isinstance(f, Atom):
         return 1
     return atom_count(f.left) + atom_count(f.right)
-
-
-class TestCycleFormula:
-    def test_adjacent_pair_is_single_swap_atom(self):
-        f = cycle_formula(1, 2, 2, Q)
-        assert f == Atom(Matrix.from_perm(Q, [0, 2, 1, 3]))
-
-    def test_full_ladder_length(self):
-        # j=1, k=4 on 4 wires: three adjacent swaps.
-        f = cycle_formula(1, 4, 4, Q)
-        assert isinstance(f, Prod)
-        assert evaluate(f) == cycle_perm_matrix(1, 4, 4)
-
-    def test_matches_oracle_everywhere(self):
-        for n in range(2, 5):
-            for j in range(1, n):
-                for k in range(j + 1, n + 1):
-                    got = evaluate(cycle_formula(j, k, n, Q))
-                    assert got == cycle_perm_matrix(j, k, n)
-                    got_inv = evaluate(cycle_formula(j, k, n, Q, inverse=True))
-                    assert got_inv == cycle_perm_matrix(j, k, n, inverse=True)
-
-    def test_inverse_composes_to_identity(self):
-        for n in range(2, 5):
-            for j in range(1, n):
-                for k in range(j + 1, n + 1):
-                    fwd = evaluate(cycle_formula(j, k, n, Q))
-                    inv = evaluate(cycle_formula(j, k, n, Q, inverse=True))
-                    assert mat_mul(fwd, inv) == identity(1 << n, Q)
-
-    def test_degenerate_bounds(self):
-        with pytest.raises(ValidationError):
-            cycle_formula(2, 2, 3, Q)
-        with pytest.raises(ValidationError):
-            cycle_formula(3, 2, 3, Q)
-        with pytest.raises(ValidationError):
-            cycle_formula(1, 4, 3, Q)
-
-
-class TestLevelMatrixFormula:
-    def test_cnot_then_identity(self):
-        f = level_matrix_formula((Gate((1, 2), builtin_gate("cnot", Q)),), 3, Q)
-        assert f == Tensor(Atom(builtin_gate("cnot", Q)), Atom(identity(2, Q)))
-
-    def test_empty_level(self):
-        f = level_matrix_formula((), 2, Q)
-        assert evaluate(f) == identity(4, Q)
-        assert f == Tensor(Atom(identity(2, Q)), Atom(identity(2, Q)))
-
-    def test_gap_before_gate(self):
-        f = level_matrix_formula((Gate((2, 3, 4), builtin_gate("toffoli", Q)),), 4, Q)
-        assert f == Tensor(Atom(identity(2, Q)), Atom(builtin_gate("toffoli", Q)))
-
-    def test_non_adjacent_rejected(self):
-        with pytest.raises(ValidationError):
-            level_matrix_formula((Gate((1, 3), builtin_gate("cnot", Q)),), 3, Q)
-
-    def test_overlap_rejected(self):
-        level = (
-            Gate((1, 2), builtin_gate("cnot", Q)),
-            Gate((2, 3), builtin_gate("cnot", Q)),
-        )
-        with pytest.raises(ValidationError):
-            level_matrix_formula(level, 3, Q)
-
-    def test_matches_level_operator(self):
-        level = (
-            Gate((1,), builtin_gate("rot35", Q)),
-            Gate((3, 4), builtin_gate("swap", Q)),
-        )
-        arr = GateArray(Q, 4, (level,))
-        assert evaluate(level_matrix_formula(level, 4, Q)) == level_operator(arr, 1)
-
-
-class TestAdjacencyNormalize:
-    def test_adjacent_level_degenerates(self):
-        level = (Gate((1, 2), builtin_gate("cnot", Q)),)
-        plan = adjacency_normalize(level, 3, Q)
-        assert plan.cycles == ()
-        assert plan.sigma == (1, 2, 3)
-        assert plan.formula == level_matrix_formula(level, 3, Q)
-
-    def test_figure_one_scenario(self):
-        # Controlled-not with control on wire 1, target on wire 4: the plan
-        # pulls wire 4 up to wire 2 with the single cycle (2, 4).
-        level = (Gate((1, 4), builtin_gate("cnot", Q)),)
-        plan = adjacency_normalize(level, 4, Q)
-        assert plan.cycles == ((2, 4),)
-        assert plan.sigma == (1, 3, 4, 2)
-        arr = GateArray(Q, 4, (level,))
-        assert evaluate(plan.formula) == level_operator(arr, 1)
-
-    def test_two_interleaved_gates(self):
-        level = (
-            Gate((1, 3), builtin_gate("cnot", Q)),
-            Gate((2, 4), builtin_gate("cnot", Q)),
-        )
-        plan = adjacency_normalize(level, 4, Q)
-        assert plan.cycles == ((2, 3),)
-        arr = GateArray(Q, 4, (level,))
-        assert evaluate(plan.formula) == level_operator(arr, 1)
-
-    def test_staircase_ignores_settled_wires(self):
-        # Each cycle must start at or after its selection position.
-        rng = random.Random(1)
-        for _ in range(20):
-            width = rng.randrange(2, 6)
-            arr = rand_array(rng, width, 1)
-            plan = adjacency_normalize(arr.levels[0], width, Q)
-            for idx, (j, k) in enumerate(plan.cycles):
-                assert j < k
-                if idx:
-                    assert j >= plan.cycles[idx - 1][0] + 1
-
-    def test_random_levels_match_operator(self):
-        rng = random.Random(2)
-        for _ in range(25):
-            width = rng.randrange(2, 6)
-            arr = rand_array(rng, width, 1)
-            plan = adjacency_normalize(arr.levels[0], width, Q)
-            assert evaluate(plan.formula) == level_operator(arr, 1)
-
-    def test_packed_gates_start_at_wire_one(self):
-        level = (
-            Gate((2, 5), builtin_gate("swap", Q)),
-            Gate((3,), builtin_gate("not", Q)),
-        )
-        plan = adjacency_normalize(level, 5, Q)
-        assert [g.wires for g in plan.packed_level] == [(1, 2), (3,)]
 
 
 class TestCompileArray:
@@ -243,9 +95,17 @@ class TestCompileArray:
             assert got == simulate(arr, s).amplitudes
 
     def test_invalid_array_rejected(self):
-        arr = GateArray(Q, 1, ((Gate((1,), mx([[1, 1], [0, 1]])),),))
-        with pytest.raises(ValidationError):
-            compile_array_to_formula(arr)
+        # The boundary check is the only one: a level sharing a wire or a
+        # wire outside 1..width never reaches the packing.
+        cases = [
+            (1, (Gate((1,), mx([[1, 1], [0, 1]])),)),  # not orthogonal
+            (3, (Gate((1, 2), CNOT), Gate((2, 3), CNOT))),  # shared wire
+            (2, (Gate((1, 3), CNOT),)),  # wire outside 1..2
+        ]
+        for width, level in cases:
+            arr = GateArray(Q, width, (level,))
+            with pytest.raises(ValidationError, match="^invalid gate array"):
+                compile_array_to_formula(arr)
 
     def test_random_arrays_round_trip(self):
         rng = random.Random(7)
@@ -341,8 +201,8 @@ class TestMergedRouting:
                 if width > 7:
                     continue  # dense 2^n x 2^n level operators get slow
                 for i, level in enumerate(arr.levels, start=1):
-                    plan = adjacency_normalize(level, width, tag)
-                    assert evaluate(plan.formula) == level_operator(arr, i)
+                    one = compile_array_to_formula(GateArray(tag, width, (level,)))
+                    assert evaluate(one) == level_operator(arr, i)
 
     def test_atom_count_bound(self):
         # At most n rounds before each level and after the last, n atoms
@@ -377,7 +237,8 @@ class TestMergedRouting:
 
     def test_gateless_array_is_identity_formula(self):
         arr = GateArray(Q, 3, ((), ()))
-        assert compile_array_to_formula(arr) == identity_formula(3, Q)
+        want = balanced_tensor([Atom(identity(2, Q))] * 3)
+        assert compile_array_to_formula(arr) == want
 
 
 class TestSharedOutput:
@@ -478,12 +339,3 @@ class TestInputVectorFormula:
     def test_rejects_tag_mismatch(self):
         with pytest.raises(ValidationError):
             input_vector_formula([basis_vector(2, 1, Tag.BOOLEAN)], Q)
-
-
-class TestIdentityFormula:
-    def test_value(self):
-        assert evaluate(identity_formula(3, Q)) == identity(8, Q)
-
-    def test_needs_positive_width(self):
-        with pytest.raises(ValidationError):
-            identity_formula(0, Q)
