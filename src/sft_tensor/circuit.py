@@ -223,6 +223,10 @@ def validate_array(c: GateArray) -> ArrayReport:
     """Check wire ranges, per-level disjointness, matrix orders and
     orthogonality; returns all violations rather than stopping at one."""
     violations = []
+    # id(matrix) -> is_orthogonal(matrix): gates share matrix objects (every
+    # rot35 gate has _ROT35[tag]), and c keeps each one alive, so no id is
+    # reused while this runs.
+    orthogonal: dict = {}
     for li, level in enumerate(c.levels, start=1):
         used: set = set()
         for gi, gate in enumerate(level, start=1):
@@ -248,8 +252,11 @@ def validate_array(c: GateArray) -> ArrayReport:
                     f"{where}: matrix order {m.rows}x{m.cols}, "
                     f"expected {1 << w}x{1 << w}"
                 )
-            elif m.tag is c.tag and not is_orthogonal(m):
-                violations.append(f"{where}: matrix is not orthogonal")
+            elif m.tag is c.tag:
+                if id(m) not in orthogonal:
+                    orthogonal[id(m)] = is_orthogonal(m)
+                if not orthogonal[id(m)]:
+                    violations.append(f"{where}: matrix is not orthogonal")
             overlap = used & set(gate.wires)
             if overlap:
                 violations.append(

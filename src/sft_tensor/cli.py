@@ -23,7 +23,7 @@ from .circuit import (
     render_gate_array,
     simulate,
 )
-from .errors import CapExceededError, SftTensorError, ValidationError
+from .errors import CapExceededError, ParseError, SftTensorError, ValidationError
 from .formula import (
     DEFAULT_ENTRY_CAP,
     Atom,
@@ -71,6 +71,15 @@ def _add_common(sub, mode=False, cap=False):
     sub.add_argument("file", help="input file")
 
 
+def _fraction(text: str) -> Fraction:
+    # Fraction("1/0") raises ZeroDivisionError, which argparse would let
+    # escape as a traceback; both faults are usage errors.
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sft-tensor",
@@ -93,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     sft.add_argument("--k", type=int, required=True, help="trailing window size")
     sft.add_argument(
         "--alpha",
-        type=Fraction,
+        type=_fraction,
         default=Fraction(1, 2),
         help="acceptance threshold in [1/2, 1) (default 1/2)",
     )
@@ -124,8 +133,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        # One read decodes the whole file, so exc.start is a file offset.
+        raise ParseError(
+            f"{path}: byte 0x{exc.object[exc.start]:02x} at byte offset "
+            f"{exc.start} is not UTF-8"
+        ) from None
 
 
 def _load_formula(args):

@@ -41,14 +41,14 @@ gate reading still walks every occurrence.
 Evaluation is post-order, left child first.  Every node's order,
 including atoms', is checked against an entry cap before any work on that
 node; diameters can grow doubly exponentially with depth, and the cap
-turns that into a clean, deterministically attributed error.  A
-column-valued formula (order r x 1, r > 1) is evaluated by applying its
-factors to the vector: a product feeds its right factor's column to its
-left factor, a Kronecker product acts block by block, and only subtrees
-whose atoms are all permutations are multiplied out (into a compact
-permutation).  The cap still bounds every subformula's order, including
-the operators that are never built.  Any other formula is multiplied out
-node by node.
+turns that into a clean, deterministically attributed error.  Every
+formula is evaluated by one walk that applies its factors to columns: a
+product feeds its right factor's column to its left factor, a Kronecker
+product acts block by block, and subtrees whose atoms are all
+permutations are multiplied out (into a compact permutation).  A product
+or sum applied as often as it has columns is multiplied out once, for
+every later use, and so is a non-column root.  The cap still bounds
+every subformula's order, including the operators that are never built.
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ from .semiring import (
     render_scalar,
     scalar_add,
     scalar_mul,
+    scalar_one,
     scalar_zero,
 )
 
@@ -576,46 +577,30 @@ def _checked_order(f: Formula, cap: int, pos) -> None:
         raise CapExceededError(_path_text(pos), rows, cols, cap)
 
 
-def _eval(f: Formula, cap: int, pos) -> Matrix:
-    return walk(_eval_node(f, cap, pos, {}))
-
-
-def _eval_node(f: Formula, cap: int, pos, values: dict):
-    # values holds each distinct node's matrix by id, as _plan keeps plans.
-    if type(f) is Atom:
-        _checked_order(f, cap, pos)
-        value = f.matrix
-    else:
-        left = values.get(id(f.left))
-        if left is None:
-            left = yield _eval_node(f.left, cap, (pos, "/L"), values)
-        right = values.get(id(f.right))
-        if right is None:
-            right = yield _eval_node(f.right, cap, (pos, "/R"), values)
-        _checked_order(f, cap, pos)
-        value = _MAT_OP[type(f)](left, right)
-    values[id(f)] = value
-    return value
-
-
-# Column-valued formulas are evaluated vector first.  One post-order walk
-# checks every node's order against the cap and gives each node a plan:
+# Every formula is evaluated by one post-order walk.  It checks every
+# node's order against the cap and keeps each node's plan in one table:
 #
-#   - a Matrix, multiplied out as _eval would, for a non-column subtree
-#     whose atoms are all permutations (a compact permutation unless the
-#     subtree holds a Sum);
+#   - a Matrix, multiplied out, for a non-column subtree whose atoms are
+#     all permutations (a compact permutation unless it holds a Sum);
 #   - a sparse column {row: nonzero Scalar}, for a column-valued node;
-#   - an operator, for any other non-column subtree: the Atom itself, or
-#     (node, left plan, right plan) for a binary node.  It is applied to
-#     columns by _apply, never built.
+#   - for any other node, the node itself, which _apply applies to columns
+#     through its children's plans without building it; for a product or
+#     sum, the number of times it has been applied so far instead.
 #
-# A product with a column on its right applies its left plan to that
-# column, and a deferred Kronecker product is applied block by block.
-# Plans are kept by node identity, and a parent looks its child up there
-# before visiting it, so a shared subtree is planned and cap-checked once
-# per call, at its first occurrence in post-order.  Every later occurrence
-# comes after that one, so the first offender and its path are those of
-# the same formula written as a tree.
+# A product with a column on its right applies its left plan to it.
+# Applying an operator at every occurrence costs time exponential in the
+# depth of a DAG such as f_(i+1) = f_i * f_i.  So a product or sum rents
+# before it buys: once it has been applied as often as it has columns, it
+# is multiplied out one unit column at a time, and the Atom of that
+# matrix, whose order has passed the cap, serves every later use.  A
+# Kronecker product never is: block by block already keeps its factors
+# apart, and its matrix is larger than theirs together.
+#
+# The table is per call and keyed by node identity.  A parent looks its
+# child up there before visiting it, so a shared subtree is planned and
+# cap-checked once per call, at its first occurrence in post-order.  Every
+# later occurrence comes after that one, so the first offender and its
+# path are those of the same formula written as a tree.
 
 
 def _mat_vec(m: Matrix, x: dict) -> dict:
@@ -631,32 +616,37 @@ def _mat_vec(m: Matrix, x: dict) -> dict:
                 continue
             t = scalar_mul(a, v)
             out[i] = scalar_add(out[i], t) if i in out else t
-    return out
+    return {i: v for i, v in out.items() if not v.is_zero()}
 
 
 def _vec_add(x: dict, y: dict) -> dict:
     out = dict(x)
     for i, v in y.items():
         out[i] = scalar_add(out[i], v) if i in out else v
-    return out
+    return {i: v for i, v in out.items() if not v.is_zero()}
 
 
-def _apply(plan, x: dict):
-    """A non-column plan, or a column taken as a one-column operator,
-    applied to the sparse column x."""
-    if type(plan) is Matrix:
-        return _mat_vec(plan, x)
-    if type(plan) is Atom:
-        return _mat_vec(plan.matrix, x)
-    if type(plan) is dict:
+def _apply(f: Formula, x: dict, plans: dict):
+    """f applied to the sparse column x through its current plan."""
+    plan = plans[id(f)]
+    kind = type(plan)
+    if kind is dict:  # a column, acting as a one-column operator
         s = x.get(0)
         return {} if s is None else {i: scalar_mul(a, s) for i, a in plan.items()}
-    f, left, right = plan
+    if kind is Matrix:
+        return _mat_vec(plan, x)
+    if kind is Atom:
+        return _mat_vec(plan.matrix, x)
+    if kind is int:
+        if plan + 1 >= f.order[1]:
+            return _mat_vec((yield _multiplied_out(f, plans)), x)
+        plans[id(f)] = plan + 1
     kind = type(f)
     if kind is Prod:
-        return (yield _apply(left, (yield _apply(right, x))))
+        return (yield _apply(f.left, (yield _apply(f.right, x, plans)), plans))
     if kind is Sum:
-        return _vec_add((yield _apply(left, x)), (yield _apply(right, x)))
+        left = yield _apply(f.left, x, plans)
+        return _vec_add(left, (yield _apply(f.right, x, plans)))
     # (L # R) x without forming L # R: R acts on each of x's blocks (one
     # per column of L), then L on each strided column of the results.
     rows, cols = f.right.order
@@ -666,39 +656,56 @@ def _apply(plan, x: dict):
         blocks.setdefault(i, {})[j] = v
     strided: dict = {}
     for i, block in blocks.items():
-        for j, v in (yield _apply(right, block)).items():
+        for j, v in (yield _apply(f.right, block, plans)).items():
             strided.setdefault(j, {})[i] = v
     out = {}
     for j, column in strided.items():
-        for p, v in (yield _apply(left, column)).items():
+        for p, v in (yield _apply(f.left, column, plans)).items():
             out[p * rows + j] = v
     return out
 
 
+def _dense(f: Formula, columns: list) -> Matrix:
+    """The matrix of order f.order whose sparse columns are given."""
+    rows, cols = f.order
+    entries = [scalar_zero(f.tag)] * (rows * cols)
+    for j, column in enumerate(columns):
+        for i, v in column.items():
+            entries[i * cols + j] = v
+    return Matrix(f.tag, rows, cols, tuple(entries))
+
+
+def _multiplied_out(f: Formula, plans: dict):
+    """f's matrix, one unit column at a time; then its Atom is f's plan."""
+    plans[id(f)] = f  # meanwhile, so that these applications go uncounted
+    one = scalar_one(f.tag)
+    columns = []
+    for j in range(f.order[1]):
+        columns.append((yield _apply(f, {j: one}, plans)))
+    plans[id(f)] = Atom(_dense(f, columns))
+    return plans[id(f)].matrix
+
+
 def _plan(f: Formula, cap: int, pos, plans: dict):
-    if type(f) is Atom:
-        _checked_order(f, cap, pos)
-        m = f.matrix
-        if m.cols == 1:
-            plan = {i: s for i, s in enumerate(m.entries) if not s.is_zero()}
-        else:
-            plan = m if m.perm_or_none() is not None else f
-        plans[id(f)] = plan
-        return plan
-    left = plans.get(id(f.left))
-    if left is None:
-        left = yield _plan(f.left, cap, (pos, "/L"), plans)
-    right = plans.get(id(f.right))
-    if right is None:
-        right = yield _plan(f.right, cap, (pos, "/R"), plans)
-    _checked_order(f, cap, pos)
     kind = type(f)
-    if type(left) is Matrix and type(right) is Matrix:
+    if kind is not Atom:
+        left = plans.get(id(f.left))
+        if left is None:
+            left = yield _plan(f.left, cap, (pos, "/L"), plans)
+        right = plans.get(id(f.right))
+        if right is None:
+            right = yield _plan(f.right, cap, (pos, "/R"), plans)
+    _checked_order(f, cap, pos)
+    if kind is Atom and f.order[1] == 1:
+        plan = {i: s for i, s in enumerate(f.matrix.entries) if not s.is_zero()}
+    elif kind is Atom:
+        plan = f.matrix if f.matrix.perm_or_none() is not None else f
+    elif type(left) is Matrix and type(right) is Matrix:
         plan = _MAT_OP[kind](left, right)
     elif f.order[1] != 1:
-        plan = (f, left, right)
+        plan = f if kind is Tensor else 0
     elif kind is Prod:
-        plan = yield _apply(left, right)
+        plan = yield _apply(f.left, right, plans)
     elif kind is Tensor:
         rows = f.right.order[0]
         plan = {
@@ -712,15 +719,6 @@ def _plan(f: Formula, cap: int, pos, plans: dict):
     return plan
 
 
-def _eval_column(f: Formula, cap: int) -> Matrix:
-    column = walk(_plan(f, cap, "", {}))  # checks the root's order too
-    rows = f.order[0]
-    entries = [scalar_zero(f.tag)] * rows
-    for i, v in column.items():
-        entries[i] = v
-    return Matrix(f.tag, rows, 1, tuple(entries))
-
-
 def evaluate(
     f: Formula, entry_cap: int = DEFAULT_ENTRY_CAP, mode: str = "strict"
 ) -> Matrix:
@@ -729,9 +727,10 @@ def evaluate(
     Strict mode refuses invalid formulas; paper mode evaluates them to the
     1x1 zero matrix.  Every node's output order is checked against
     entry_cap in post-order, before any work on that node, so the first
-    offender in post-order is reported.  A column-valued formula (order
-    r x 1 with r > 1) is evaluated by applying its factors to the vector;
-    any other formula is multiplied out node by node.
+    offender in post-order is reported.  Operators are applied to columns
+    rather than built; a product or sum is multiplied out only once it has
+    been applied as often as it has columns.  A non-column value is
+    multiplied out one unit column at a time.
     """
     if mode not in ("strict", "paper"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -742,10 +741,11 @@ def evaluate(
             "cannot evaluate invalid formula: order mismatch at "
             f"{_first_invalid_path(f) or 'root'}"
         )
-    rows, cols = f.order
-    if cols == 1 and rows > 1:
-        return _eval_column(f, entry_cap)
-    return _eval(f, entry_cap, "")
+    plans: dict = {}
+    plan = walk(_plan(f, entry_cap, "", plans))  # checks the root's order too
+    if type(plan) is Matrix:
+        return plan
+    return _dense(f, [plan]) if type(plan) is dict else walk(_multiplied_out(f, plans))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ import random
 from fractions import Fraction
 
 from sft_tensor.circuit import BUILTIN_GATE_NAMES, Gate, GateArray, builtin_gate
-from sft_tensor.formula import Atom, Formula, Prod, Tensor, walk
-from sft_tensor.linalg import Matrix, basis_vector, mat_mul
+from sft_tensor.errors import CapExceededError
+from sft_tensor.formula import Atom, Formula, Prod, Sum, Tensor, walk
+from sft_tensor.linalg import Matrix, basis_vector, kronecker, mat_add, mat_mul
 from sft_tensor.semiring import (
     Tag,
     make_scalar,
@@ -194,6 +195,37 @@ def unshared(f: Formula) -> Formula:
         return type(node)(left, right)
 
     return walk(copy(f))
+
+
+def multiplied_out(f: Formula, cap: int) -> Matrix:
+    """The value of f with each distinct node multiplied out once by the
+    linalg operations: the dense reference for evaluate.  Each node's order
+    is checked against cap at its first occurrence in post-order, and an
+    offender raises CapExceededError with its path, as evaluate does.
+    Runs on walk, so deep chains evaluate too."""
+    ops = {Sum: mat_add, Prod: mat_mul, Tensor: kronecker}
+    values = {}
+
+    def visit(node, pos):
+        if not isinstance(node, Atom):
+            for child, side in ((node.left, "/L"), (node.right, "/R")):
+                if id(child) not in values:
+                    yield visit(child, (pos, side))
+        rows, cols = node.order
+        if rows * cols > cap:
+            sides = []
+            while pos:
+                pos, side = pos
+                sides.append(side)
+            raise CapExceededError("".join(reversed(sides)), rows, cols, cap)
+        if isinstance(node, Atom):
+            values[id(node)] = node.matrix
+        else:
+            left, right = values[id(node.left)], values[id(node.right)]
+            values[id(node)] = ops[type(node)](left, right)
+
+    walk(visit(f, ()))
+    return values[id(f)]
 
 
 def distinct_nodes(f: Formula) -> list:

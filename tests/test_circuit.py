@@ -20,6 +20,7 @@ from sft_tensor.circuit import (
     validate_array,
     wire_masks,
 )
+from sft_tensor import circuit as circuit_module
 from sft_tensor.errors import ParseError, TagMismatchError, ValidationError
 from sft_tensor.formula import Atom, render_formula
 from sft_tensor.linalg import (
@@ -130,6 +131,26 @@ class TestValidate:
         shear = mx([[1, 1], [0, 1]])
         report = validate_array(GateArray(Q, 1, ((Gate((1,), shear),),)))
         assert any("not orthogonal" in v for v in report.violations)
+
+    def test_each_distinct_matrix_checked_once(self, monkeypatch):
+        calls = []
+        real = circuit_module.is_orthogonal
+        monkeypatch.setattr(
+            circuit_module, "is_orthogonal", lambda m: calls.append(m) or real(m)
+        )
+        rot = builtin_gate("rot35", Q)
+        assert rot is builtin_gate("rot35", Q)
+        levels = tuple((Gate((1,), rot), Gate((2,), rot)) for _ in range(3))
+        assert validate_array(GateArray(Q, 2, levels)).ok
+        assert calls == [rot]
+        # A shared non-orthogonal matrix is still reported at every gate.
+        shear = mx([[1, 1], [0, 1]])
+        level = (Gate((1,), shear), Gate((2,), shear))
+        report = validate_array(GateArray(Q, 2, (level,)))
+        assert report.violations == (
+            "level 1 gate 1: matrix is not orthogonal",
+            "level 1 gate 2: matrix is not orthogonal",
+        )
 
     def test_wire_out_of_range(self):
         report = validate_array(

@@ -122,6 +122,16 @@ class TestSft:
             main(["sft", "--k", "1", "--alpha", "zzz", rot_file])
         assert err.value.code == 2
 
+    def test_zero_denominator_alpha_is_usage_error(self, rot_file, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["sft", "--k", "1", "--alpha", "1/0", rot_file])
+        assert err.value.code == 2
+        out, stderr = capsys.readouterr()
+        assert out == ""
+        assert stderr.endswith(
+            "error: argument --alpha: invalid Fraction value: '1/0'\n"
+        )
+
 
 class TestCompileCircuit:
     def test_single_gate(self, tmp_path, capsys):
@@ -217,6 +227,27 @@ class TestSimulate:
 
     def test_missing_file(self, capsys):
         assert main(["simulate", "/definitely/not/here"]) == 3
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize(
+        "verb, data",
+        [
+            ("eval", b"[[1][\xff]]"),
+            ("simulate", b"width 1\nlevel\ngate not 1\ninput basis \xff\n"),
+        ],
+        ids=["formula", "gate-array"],
+    )
+    def test_input_error_names_file_and_offset(self, tmp_path, capsys, verb, data):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        assert main([verb, str(path)]) == 3
+        out, err = capsys.readouterr()
+        offset = data.index(b"\xff")
+        assert out == ""
+        assert err == (
+            f"error: {path}: byte 0xff at byte offset {offset} is not UTF-8\n"
+        )
 
 
 class TestUsage:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import distinct_nodes, nested, rand_array, unshared
+from generators import distinct_nodes, multiplied_out, nested, rand_array, unshared
 
 from sft_tensor.errors import (
     CapExceededError,
@@ -33,18 +33,25 @@ from sft_tensor.formula import (
     trivial_formula,
 )
 from sft_tensor import formula as formula_module
-from sft_tensor.formula import _eval  # the multiplied-out reference
 from sft_tensor.forward_compiler import compile_array_to_formula, input_vector_formula
 from sft_tensor.backward_compiler import (
     formula_to_array,
     pad_formula_with_denominators,
     transpose_formula,
 )
-from sft_tensor.circuit import simulate
+from sft_tensor.circuit import (
+    Gate,
+    GateArray,
+    StateVector,
+    _run_levels,
+    builtin_gate,
+    simulate,
+)
 from sft_tensor.sft import SftInstance, boolean_fastpath, decide_sft
 from sft_tensor.linalg import (
     Matrix,
     basis_vector,
+    conj_transpose,
     identity,
     is_unit_column,
     kronecker,
@@ -530,7 +537,7 @@ class TestDeepChains:
         f = deep_chain(side, Q)
         shallow = evaluate(parse_formula("[[0][1]]", Q))
         assert evaluate(f) == shallow
-        assert _eval(f, 1 << 24, "") == shallow
+        assert multiplied_out(f, 1 << 24) == shallow
         square = deep_chain(side, Q, count=self.DEPTH - 1, tail=self.NOT)
         assert evaluate(square) == identity(2, Q)
 
@@ -821,7 +828,7 @@ class TestColumnEvaluation:
         m = rand_mixed(data, tag, n, n, max_depth=3)
         v = rand_mixed(data, tag, n, 1, max_depth=3)
         assert evaluate(Prod(m, v)) == mat_mul(evaluate(m), evaluate(v))
-        assert evaluate(v) == _eval(v, 1 << 24, "")
+        assert evaluate(v) == multiplied_out(v, 1 << 24)
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -831,7 +838,7 @@ class TestColumnEvaluation:
         f = Prod(rand_mixed(data, tag, n, n, 3), rand_mixed(data, tag, n, 1, 3))
         cap = data.draw(st.integers(1, 64))
         try:
-            _eval(f, cap, "")
+            multiplied_out(f, cap)
         except CapExceededError as old:
             with pytest.raises(CapExceededError) as new:
                 evaluate(f, entry_cap=cap)
@@ -839,7 +846,94 @@ class TestColumnEvaluation:
                 old.path, old.rows, old.cols)
             assert new.value.cap == old.cap
         else:
-            assert evaluate(f, entry_cap=cap) == _eval(f, cap, "")
+            assert evaluate(f, entry_cap=cap) == multiplied_out(f, cap)
+
+
+def squarings(m, levels):
+    """The DAG f_(i+1) = f_i * f_i over the atom m: 2^levels occurrences
+    of m in levels + 1 distinct nodes."""
+    f = Atom(m)
+    for _ in range(levels):
+        f = Prod(f, f)
+    return f
+
+
+def root_plan(f):
+    """What the evaluation walk makes of f: its sparse column, if f is one."""
+    return formula_module.walk(formula_module._plan(f, 1 << 24, "", {}))
+
+
+class TestOneWalk:
+    """One walk evaluates every formula.  A product or sum is multiplied
+    out once it has been applied as often as it has columns; a Kronecker
+    product never is."""
+
+    Z = mx([[1, 0], [0, -1]])
+
+    @pytest.mark.parametrize("gate, levels", [("Z", 16), ("rot35", 14)])
+    def test_squaring_dags_cost_linear_in_levels(self, monkeypatch, gate, levels):
+        m = self.Z if gate == "Z" else builtin_gate("rot35", Q)
+        f = squarings(m, levels)
+        column = Prod(f, Atom(basis_vector(2, 1, Q)))
+        calls = []
+        real = formula_module._mat_vec
+        monkeypatch.setattr(
+            formula_module, "_mat_vec", lambda m, x: calls.append(x) or real(m, x)
+        )
+        # Applied at each of its 2^levels occurrences, m alone would take
+        # 2^levels matrix-vector products.
+        for g in (column, f):
+            calls.clear()
+            assert evaluate(g) == multiplied_out(g, 1 << 24)
+            assert len(calls) <= 8 * levels
+
+    def test_support_matches_gate_kernel(self):
+        # The walk drops exact cancellations, as _apply_gate does: rot35
+        # then its inverse on every wire leaves one basis state.
+        text = "([[3/5 4/5][-4/5 3/5]]*([[3/5 -4/5][4/5 3/5]]*[[1][0]]))"
+        assert root_plan(parse_formula(text, Q)) == {0: make_scalar(Q, 1)}
+        rng = random.Random(19)
+        for tag in (Q, Tag.GAUSSIAN_RATIONAL):
+            rot = builtin_gate("rot35", tag)
+            for width in (2, 3, 4):
+                wires = range(1, width + 1)
+                there = tuple(Gate((w,), rot) for w in wires)
+                back = tuple(Gate((w,), conj_transpose(rot)) for w in wires)
+                arrays = [
+                    GateArray(tag, width, (there, back)),
+                    rand_array(rng, width, 5, tag),
+                ]
+                for array in arrays:
+                    bits = "".join(rng.choice("01") for _ in range(width))
+                    column = input_vector_formula(bits, tag)
+                    f = Prod(compile_array_to_formula(array), column)
+                    start = StateVector.basis(width, bits, tag).amplitudes.entries
+                    amps = {g: a for g, a in enumerate(start) if not a.is_zero()}
+                    assert root_plan(f) == _run_levels(array, amps)
+
+    @SIDES
+    def test_deep_square_chain_of_non_permutations(self, side):
+        # NOT chains compose as permutations; Z chains reach the unit
+        # columns a non-column root is multiplied out on.
+        f = parse_formula(nested(side, ["[[1 0][0 -1]]"] * 10_000), Q)
+        assert evaluate(f) == identity(2, Q)
+
+    def test_repeated_layer_keeps_its_tensors(self, monkeypatch):
+        width, bits = 6, "011010"
+        rot = builtin_gate("rot35", Q)
+        layer = tuple(Gate((w,), rot) for w in range(1, width + 1))
+        array = GateArray(Q, width, (layer, layer))
+        f = Prod(compile_array_to_formula(array), input_vector_formula(bits, Q))
+        kinds = []
+        real = formula_module._multiplied_out
+        monkeypatch.setattr(
+            formula_module,
+            "_multiplied_out",
+            lambda node, plans: kinds.append(type(node)) or real(node, plans),
+        )
+        state = StateVector.basis(width, bits, Q)
+        assert evaluate(f) == simulate(array, state).amplitudes
+        assert Tensor not in kinds
 
 
 # ---------------------------------------------------------------------------
