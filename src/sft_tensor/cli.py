@@ -64,7 +64,7 @@ def _add_common(sub, mode=False, cap=False):
     if cap:
         sub.add_argument(
             "--max-entries",
-            type=int,
+            type=_positive_int,
             default=DEFAULT_ENTRY_CAP,
             help=f"largest intermediate matrix entry count (default {DEFAULT_ENTRY_CAP})",
         )
@@ -78,6 +78,18 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    # A cap below 1 refuses every formula, a 1x1 atom included; that is a
+    # usage error, not an evaluation that exceeded the cap.
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:

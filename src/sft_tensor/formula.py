@@ -591,8 +591,9 @@ def _checked_order(f: Formula, cap: int, pos) -> None:
 # Applying an operator at every occurrence costs time exponential in the
 # depth of a DAG such as f_(i+1) = f_i * f_i.  So a product or sum rents
 # before it buys: once it has been applied as often as it has columns, it
-# is multiplied out one unit column at a time, and the Atom of that
-# matrix, whose order has passed the cap, serves every later use.  A
+# is multiplied out one unit column at a time, its operands still renting
+# first, and the Atom of that matrix, whose order has passed the cap,
+# serves every later use.  A
 # Kronecker product never is: block by block already keeps its factors
 # apart, and its matrix is larger than theirs together.
 #
@@ -676,7 +677,14 @@ def _dense(f: Formula, columns: list) -> Matrix:
 
 
 def _multiplied_out(f: Formula, plans: dict):
-    """f's matrix, one unit column at a time; then its Atom is f's plan."""
+    """f's matrix, one unit column at a time; then its Atom is f's plan.
+
+    A product's or sum's operands still renting are bought first, so its
+    unit columns apply each of them once, not once per column."""
+    if type(f) is Prod or type(f) is Sum:
+        for child in (f.left, f.right):
+            if type(plans[id(child)]) is int:
+                yield _multiplied_out(child, plans)
     plans[id(f)] = f  # meanwhile, so that these applications go uncounted
     one = scalar_one(f.tag)
     columns = []
@@ -765,9 +773,10 @@ def balanced_tensor(factors: Sequence[Formula]) -> Formula:
 
 
 def _balance(node, factors: Sequence[Formula]) -> Formula:
-    if not factors:
-        raise ValueError("need at least one factor")
-    if len(factors) == 1:
-        return factors[0]
-    mid = len(factors) // 2
+    n = len(factors)
+    if n < 3:
+        if not n:
+            raise ValueError("need at least one factor")
+        return factors[0] if n == 1 else node(factors[0], factors[1])
+    mid = n // 2
     return node(_balance(node, factors[:mid]), _balance(node, factors[mid:]))

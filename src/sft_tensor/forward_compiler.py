@@ -1,26 +1,28 @@
 """Compile gate arrays into equivalent sum-free tensor formulas.
 
-One level whose gates sit on consecutive wires is a single tensor chain:
-gate matrices interleaved with I_2 factors for untouched wires.  Gates on
-scattered wires are brought together by moving the wires themselves.  The
-compiler tracks an arrangement, the wire label sitting on each position,
-starting from the identity.  Before each level it routes the wires to
-that level's target arrangement: the current one, walked position by
-position, with all of a gate's wires gathered, in the gate's wire order,
-where the first of them sits; every other wire keeps its relative order.
-So a level whose gates already sit on adjacent wires in order needs no
-route.  The packed level is one tensor chain, the arrangement becomes
-the target, and after the last level one more route brings every wire
-home.  Levels without gates add nothing.
+A level whose gates sit on consecutive wires is one factor, the (first
+wire, last wire, atom) blocks of its gates.  Gates on scattered wires are
+brought together by moving the wires themselves.  The compiler tracks an
+arrangement, the wire label sitting on each position, starting from the
+identity.  Before each level it routes the wires to that level's target
+arrangement: the current one, walked position by position, with all of
+a gate's wires gathered, in the gate's wire order, where the first of
+them sits; every other wire keeps its relative order.  So a level whose
+gates already sit on adjacent wires in order needs no route.  The packed
+level is one factor, the arrangement becomes the target, and after the
+last level one more route brings every wire home; empty levels add none.
 
 Each route is odd-even transposition sort (Knuth, TAOCP Vol. 3, 5.3.4):
-at most n rounds of disjoint adjacent swaps, each round one balanced
-tensor chain of two-wire swap atoms and I_2 atoms.  Rounds without a swap
-are dropped.  So the routing between two levels costs at most n chains,
-and wires a level leaves alone stay where the previous level put them
-instead of being sent home and fetched again.  The whole array is the
-product of these chains, level 1 rightmost, parenthesized as a balanced
-tree so the formula depth stays logarithmic in the chain count.
+at most n rounds of disjoint adjacent swaps, each round one factor of
+two-wire swap blocks; rounds without a swap are dropped.  So wires a
+level leaves alone stay where the previous level put them.  The array is
+the product of the factors, level 1 rightmost, built over the wires each
+run of factors touches, by the mixed-product property (A # I)(B # I) =
+(AB) # I: at wire cuts no block crosses, a run splits into the Kronecker
+product of its parts, each the product of the factors with a block there,
+if that leaves a factor out of a part (wires no block covers get identity
+chains); else it is the product of its two halves, and one factor is its
+tensor chain.  The depth is O(log n log F) for F factors on n wires.
 
 The output is a DAG, not a tree.  Each call builds its nodes through one
 table: each distinct atom matrix is one Atom, and each binary node is one
@@ -33,6 +35,7 @@ padding) do it once.
 from __future__ import annotations
 
 from functools import partial, reduce
+from operator import itemgetter, or_
 from typing import Sequence, Union
 
 from .circuit import Gate, GateArray, validate_array
@@ -60,6 +63,7 @@ class _Nodes:
     def __init__(self, tag: Tag):
         self.atoms: dict = {}
         self.nodes: dict = {}
+        self.joins = {k: partial(_shared_node, self.nodes, k) for k in (Prod, Tensor)}
         self.wire = self.atom(identity(2, tag))
         self.swap = self.atom(Matrix.from_perm(tag, [0, 2, 1, 3]))
 
@@ -73,10 +77,8 @@ class _Nodes:
 
     def chain(self, kind, factors: Sequence[Formula]) -> Formula:
         """factors joined by kind left to right, as a balanced tree."""
-        return _balance(partial(_shared_node, self.nodes, kind), factors)
+        return _balance(self.joins[kind], factors)
 
-    def identity(self, n: int) -> Formula:
-        return self.chain(Tensor, [self.wire] * n)
 
 
 def odd_even_rounds(start: Sequence[int], target: Sequence[int]) -> list:
@@ -108,25 +110,34 @@ def odd_even_rounds(start: Sequence[int], target: Sequence[int]) -> list:
     return rounds
 
 
-def _chain(t: _Nodes, blocks: Sequence[tuple], n: int) -> Formula:
-    """Tensor chain of the (first wire, last wire, atom) blocks, given in
-    wire order, with an I_2 atom on every wire no block covers."""
+def _chain(t: _Nodes, factors: Sequence[tuple], lo: int, hi: int) -> Formula:
+    """Tensor chain on wires lo..hi of at most one factor's blocks there,
+    with an I_2 atom on every wire no block covers."""
     parts = []
-    wire = 1
-    for lo, hi, atom in blocks:
-        parts += [t.wire] * (lo - wire)
-        parts.append(atom)
-        wire = hi + 1
-    parts += [t.wire] * (n - wire + 1)
+    wire = lo
+    for a, b, atom in factors[0][2] if factors else ():
+        if lo <= a <= hi:
+            parts += [t.wire] * (a - wire)
+            parts.append(atom)
+            wire = b + 1
+    parts += [t.wire] * (hi - wire + 1)
     return t.chain(Tensor, parts)
 
 
+def _factor(blocks: list) -> tuple:
+    """(covered, crossed, blocks in wire order); bit w is wire w, cut w|w+1."""
+    blocks.sort()  # disjoint blocks: no two share a first wire
+    cover = cross = 0
+    for a, b, _ in blocks:
+        cover |= (2 << b) - (1 << a)
+        cross |= (1 << b) - (1 << a)
+    return cover, cross, blocks
+
+
 def _route(t: _Nodes, start: Sequence[int], target: Sequence[int]) -> list:
-    """Round formulas in application order (first round first), each a
-    tensor chain swapping wires p, p+1 for each p in the round."""
-    n = len(start)
+    """Round factors, first round first, each swapping p, p + 1 per p in it."""
     return [
-        _chain(t, [(p, p + 1, t.swap) for p in swaps], n)
+        _factor([(p, p + 1, t.swap) for p in swaps])
         for swaps in odd_even_rounds(start, target)
     ]
 
@@ -149,41 +160,65 @@ def _packed_level(gates: Sequence[Gate], target: Sequence[int]) -> list:
     return [Gate(tuple(at[w] for w in g.wires), g.matrix) for g in gates]
 
 
-def _level_formula(t: _Nodes, level: Sequence[Gate], n: int) -> Formula:
-    """Tensor chain for a packed level: each gate on consecutive wires."""
-    gates = sorted(level, key=lambda g: g.wires[0])
-    return _chain(t, [(g.wires[0], g.wires[-1], t.atom(g.matrix)) for g in gates], n)
+def _product(t: _Nodes, factors: list, n: int) -> Formula:
+    """Product of factors on wires 1..n, last leftmost, from a stack of steps:
+    factors on wires lo..hi, each with a block there and none across lo, hi."""
+    done: list = []
+    todo: list = [(factors, 1, n)]
+    while todo:
+        step = todo.pop()
+        if len(step) == 2:  # join the last k parts built
+            kind, k = step
+            done[-k:] = [t.chain(kind, done[-k:])]
+            continue
+        factors, lo, hi = step
+        if len(factors) < 2:
+            done.append(_chain(t, factors, lo, hi))
+            continue
+        cover = reduce(or_, map(itemgetter(0), factors))
+        cross = reduce(or_, map(itemgetter(1), factors))
+        cuts = ~cross & (cover | cover >> 1) & ((1 << hi) - (1 << lo))
+        ends = cuts and cuts | 1 << hi  # each piece ends at a cut or at hi
+        pieces, a = [], lo
+        while ends:
+            b = (ends & -ends).bit_length() - 1
+            ends &= ends - 1
+            part = (2 << b) - (1 << a) & cover
+            pieces.append(([f for f in factors if f[0] & part] if part else [], a, b))
+            a = b + 1
+        if pieces and any(len(sub) < len(factors) for sub, _, _ in pieces):
+            todo.append((Tensor, len(pieces)))
+        elif len(factors) == 2:  # two chains: no steps for them
+            done.append(t.chain(Prod, [_chain(t, [f], lo, hi) for f in factors[::-1]]))
+            continue
+        else:
+            mid = len(factors) // 2
+            pieces = [(factors[mid:], lo, hi), (factors[:mid], lo, hi)]
+            todo.append((Prod, 2))
+        todo += reversed(pieces)
+    return done[0]
 
 
 def compile_array_to_formula(c: GateArray) -> Formula:
-    """Sum-free formula F with F . d_x evaluating to simulate(c, x).
-
-    Wires are routed once between consecutive levels (see the module
-    docstring).  Level 1 ends up rightmost in the product; the chain is
-    balanced, so depth grows with log of the chain count.  An array
-    without gates compiles to the identity.  The result is a DAG: equal
-    subtrees are one object.
-    """
+    """Sum-free formula F with F . d_x evaluating to simulate(c, x), built
+    as the module docstring says: a DAG, equal subtrees being one object."""
     report = validate_array(c)
     if not report.ok:
         raise ValidationError(f"invalid gate array: {report.violations[0]}")
     n = c.width
     t = _Nodes(c.tag)
-    home = list(range(1, n + 1))
-    current = home
+    current = home = list(range(1, n + 1))
     factors = []  # in application order
     for level in c.levels:
         if not level:
             continue
         target = _packed_target(level, current)
         factors += _route(t, current, target)
-        factors.append(_level_formula(t, _packed_level(level, target), n))
+        gates = _packed_level(level, target)
+        factors.append(_factor([(g.wires[0], g.wires[-1], t.atom(g.matrix)) for g in gates]))
         current = target
-    if not factors:
-        return t.identity(n)
     factors += _route(t, current, home)
-    factors.reverse()
-    return t.chain(Prod, factors)
+    return _product(t, factors, n)
 
 
 InputSpec = Union[str, Sequence[Matrix]]

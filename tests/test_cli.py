@@ -90,6 +90,22 @@ class TestEval:
         assert "exceeding the cap" in capsys.readouterr().err
 
 
+class TestMaxEntries:
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    @pytest.mark.parametrize("verb", [["eval"], ["sft", "--k", "1"]], ids=lambda v: v[0])
+    def test_non_positive_cap_is_usage_error(self, rot_file, capsys, verb, cap):
+        # A cap below 1 refuses even a 1x1 atom: a usage error, not exit 4.
+        with pytest.raises(SystemExit) as err:
+            main([*verb, "--max-entries", cap, rot_file])
+        assert err.value.code == 2
+        out, stderr = capsys.readouterr()
+        assert out == ""
+        assert [line for line in stderr.splitlines() if "error:" in line] == [
+            f"sft-tensor {verb[0]}: error: argument --max-entries: "
+            f"must be at least 1, got {cap}"
+        ]
+
+
 class TestSft:
     def test_accept(self, rot_file, capsys):
         assert main(["sft", "--k", "1", rot_file]) == 0

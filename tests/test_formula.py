@@ -775,8 +775,10 @@ class TestEvaluate:
 
 
 class TestColumnEvaluation:
-    """Column-valued formulas are applied to the vector, never multiplied
-    out; the cap still sees every subformula's order."""
+    """Column-valued formulas are applied to the vector; a shared product
+    or sum inside one is multiplied out only once it has been applied as
+    often as it has columns (TestOneWalk).  The cap still sees every
+    subformula's order."""
 
     def test_shared_subtree(self):
         rot = Atom(mx([["3/5", "-4/5"], ["4/5", "3/5"]]))
@@ -886,6 +888,22 @@ class TestOneWalk:
             calls.clear()
             assert evaluate(g) == multiplied_out(g, 1 << 24)
             assert len(calls) <= 8 * levels
+
+    def test_square_product_buys_its_operands_first(self, monkeypatch):
+        # Evaluated square, the root is multiplied out on its two unit
+        # columns.  Renting each shared product on those columns and then
+        # buying it again took 220 scalar products; buying the operands
+        # first applies each level's product to the unit columns once.
+        f = squarings(builtin_gate("rot35", Q), 14)
+        calls = []
+        real = formula_module.scalar_mul
+        monkeypatch.setattr(
+            formula_module, "scalar_mul", lambda a, b: calls.append(a) or real(a, b)
+        )
+        value = evaluate(f)
+        assert len(calls) < 220
+        monkeypatch.undo()
+        assert value == multiplied_out(f, 1 << 24)
 
     def test_support_matches_gate_kernel(self):
         # The walk drops exact cancellations, as _apply_gate does: rot35

@@ -16,6 +16,7 @@ from sft_tensor.circuit import (
     StateVector,
     builtin_gate,
     level_operator,
+    _run_levels,
     render_gate_array,
     simulate,
 )
@@ -33,6 +34,8 @@ from sft_tensor.formula import (
     size,
 )
 from sft_tensor.forward_compiler import (
+    _packed_level,
+    _packed_target,
     compile_array_to_formula,
     input_vector_formula,
     odd_even_rounds,
@@ -40,7 +43,7 @@ from sft_tensor.forward_compiler import (
 from sft_tensor.linalg import Matrix, basis_vector, identity, mat_mul
 from sft_tensor.semiring import Tag, make_scalar
 
-from generators import distinct_nodes, rand_array, unshared
+from generators import ARITY, distinct_nodes, rand_array, unshared
 
 Q = Tag.RATIONAL
 CNOT = builtin_gate("cnot", Q)
@@ -217,12 +220,14 @@ class TestMergedRouting:
 
     def test_wires_stay_routed_between_levels(self):
         # Both levels want wires 1 and 4 together: one route there, none
-        # between the levels, one route back; each of the six chains is one
-        # two-wire atom and two I_2 atoms.
+        # between the levels, one route back: six factors, each one
+        # two-wire atom.  Each half of the product is one factor as a
+        # full chain (three atoms) times the other two on the three wires
+        # they touch (two atoms each) beside one I_2 atom.
         level = (Gate((1, 4), builtin_gate("cnot", Q)),)
         arr = GateArray(Q, 4, (level, (), level))
         f = compile_array_to_formula(arr)
-        assert atom_count(f) == 6 * 3
+        assert atom_count(f) == 2 * (3 + 5)
         assert evaluate(f) == identity(16, Q)
 
     def test_gate_packed_where_its_wires_sit(self):
@@ -239,6 +244,133 @@ class TestMergedRouting:
         arr = GateArray(Q, 3, ((), ()))
         want = balanced_tensor([Atom(identity(2, Q))] * 3)
         assert compile_array_to_formula(arr) == want
+
+
+def factor_arities(arr):
+    """Each factor of the routed array, in application order, as the
+    arities of its blocks: the routing rounds and the packed levels."""
+    current = home = list(range(1, arr.width + 1))
+    factors = []
+    for level in arr.levels:
+        if level:
+            target = _packed_target(level, current)
+            factors += [[2] * len(r) for r in odd_even_rounds(current, target)]
+            factors.append([len(g.wires) for g in _packed_level(level, target)])
+            current = target
+    return factors + [[2] * len(r) for r in odd_even_rounds(current, home)]
+
+
+def disjoint_levels(rng, width, depth, tag):
+    """Levels alternating between the wires below and above a random cut,
+    each a random level on its side with shuffled wires."""
+    cut = rng.randrange(1, width)
+    sides = [list(range(1, cut + 1)), list(range(cut + 1, width + 1))]
+    levels = []
+    for i in range(depth):
+        wires = sides[i % 2][:]
+        rng.shuffle(wires)
+        (level,) = rand_array(rng, len(wires), 1, tag).levels
+        levels.append(tuple(Gate([wires[w - 1] for w in g.wires], g.matrix) for g in level))
+    return GateArray(tag, width, tuple(levels))
+
+
+def basis_image(f, x):
+    """The basis index a formula of permutation atoms sends index x to."""
+    if isinstance(f, Atom):
+        return f.matrix.perm_or_none()[x]
+    if isinstance(f, Prod):
+        return basis_image(f.left, basis_image(f.right, x))
+    rows = f.right.order[0]
+    high, low = divmod(x, rows)
+    return basis_image(f.left, high) * rows + basis_image(f.right, low)
+
+
+def shared_depth(f, depths=None):
+    depths = {} if depths is None else depths
+    if isinstance(f, Atom):
+        return 0
+    if id(f) not in depths:
+        depths[id(f)] = 1 + max(shared_depth(f.left, depths), shared_depth(f.right, depths))
+    return depths[id(f)]
+
+
+class TestWindowedProduct:
+    """Each run of factors is built over the wires it touches only."""
+
+    @pytest.mark.parametrize("tag", list(Tag), ids=lambda t: t.value)
+    def test_matches_simulate(self, tag):
+        rng = random.Random(21)
+        arrays = [rand_array(rng, w, rng.randrange(1, 7), tag) for w in range(1, 10)]
+        disjoint = [disjoint_levels(rng, w, 5, tag) for w in (2, 5, 9)]
+        for arr in arrays + disjoint:
+            f = compile_array_to_formula(arr)
+            n = arr.width
+            for x in rng.sample(range(1 << n), min(3, 1 << n)):
+                bits = format(x, f"0{n}b")
+                got = evaluate(Prod(f, input_vector_formula(bits, tag)))
+                assert got == simulate(arr, StateVector.basis(n, bits, tag)).amplitudes
+        for arr in disjoint:
+            nodes = distinct_nodes(compile_array_to_formula(arr))
+            # A product narrower than the array, and one beside a cut.
+            assert any(isinstance(v, Prod) and v.order[0] < 1 << arr.width for v in nodes)
+            assert any(
+                isinstance(v, Tensor) and Prod in (type(v.left), type(v.right))
+                for v in nodes
+            )
+
+    def test_never_more_atoms_than_full_width_chains(self):
+        rng = random.Random(22)
+        arrays = [rand_array(rng, rng.randrange(1, 12), rng.randrange(1, 10)) for _ in range(40)]
+        arrays += [disjoint_levels(rng, rng.randrange(2, 12), 6, Q) for _ in range(20)]
+        fewer = 0
+        for arr in arrays:
+            # A full-width chain has an atom per block and per wire no
+            # block covers; no factors at all is the identity chain.
+            factors = factor_arities(arr)
+            full = sum(arr.width - sum(a - 1 for a in f) for f in factors) or arr.width
+            atoms = atom_count(compile_array_to_formula(arr))
+            assert atoms <= full
+            fewer += atoms < full
+        assert fewer >= len(arrays) // 2
+
+    def test_wide_array_touching_three_wires(self):
+        rng = random.Random(23)
+        names = ("not", "cnot", "swap", "toffoli", "fredkin")
+        levels = []
+        for _ in range(200):
+            free = [1, 2, 3]
+            rng.shuffle(free)
+            level = []
+            while free and (not level or rng.random() < 0.5):
+                name = rng.choice([m for m in names if ARITY[m] <= len(free)])
+                level.append(Gate(tuple(free[: ARITY[name]]), builtin_gate(name, Q)))
+                del free[: ARITY[name]]
+            levels.append(tuple(level))
+        arr = GateArray(Q, 64, tuple(levels))
+        gates = sum(map(len, levels))
+        f = compile_array_to_formula(arr)
+        # Full-width chains would take about 62 atoms per level.
+        assert atom_count(f) < 4 * (gates + arr.width)
+        # The simulator's sparse kernel, as simulate's 2^64-entry
+        # state cannot be built.
+        one = make_scalar(Q, 1)
+        for x in (0, (1 << 64) - 1, rng.randrange(1 << 64)):
+            assert {basis_image(f, x): one} == _run_levels(arr, {x: one})
+
+    def test_depth_logarithmic_in_factors(self):
+        # Along any path the product halves at most L = ceil(log2 F)
+        # times for F factors; a split into at most n parts, never two in
+        # a row, comes before each halving and before the last chain, and
+        # that chain has at most n parts: L + (L + 2) * ceil(log2 n).
+        rng = random.Random(24)
+        arrays = [rand_array(rng, rng.randrange(1, 17), rng.randrange(1, 30)) for _ in range(30)]
+        arrays += [disjoint_levels(rng, rng.randrange(2, 17), 20, Q) for _ in range(10)]
+        for arr in arrays:
+            count = len(factor_arities(arr))
+            halvings = math.ceil(math.log2(count)) if count > 1 else 0
+            per_split = math.ceil(math.log2(arr.width))
+            depth = shared_depth(compile_array_to_formula(arr))
+            assert depth <= halvings + (halvings + 2) * per_split
 
 
 class TestSharedOutput:
