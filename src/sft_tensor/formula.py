@@ -591,11 +591,12 @@ def _checked_order(f: Formula, cap: int, pos) -> None:
 # Applying an operator at every occurrence costs time exponential in the
 # depth of a DAG such as f_(i+1) = f_i * f_i.  So a product or sum rents
 # before it buys: once it has been applied as often as it has columns, it
-# is multiplied out one unit column at a time, its operands still renting
-# first, and the Atom of that matrix, whose order has passed the cap,
-# serves every later use.  A
-# Kronecker product never is: block by block already keeps its factors
-# apart, and its matrix is larger than theirs together.
+# is multiplied out one unit column at a time, and the Atom of that matrix,
+# whose order has passed the cap, serves every later use.  A Kronecker
+# product never is: block by block already keeps its factors apart, and
+# its matrix is larger than theirs together.  A node being multiplied out
+# first buys each operand still renting that has no more columns than it:
+# the operand's columns then cost no more than the node's applying it.
 #
 # The table is per call and keyed by node identity.  A parent looks its
 # child up there before visiting it, so a shared subtree is planned and
@@ -679,11 +680,14 @@ def _dense(f: Formula, columns: list) -> Matrix:
 def _multiplied_out(f: Formula, plans: dict):
     """f's matrix, one unit column at a time; then its Atom is f's plan.
 
-    A product's or sum's operands still renting are bought first, so its
-    unit columns apply each of them once, not once per column."""
+    A product's or sum's operands still renting, with at most f's column
+    count of columns, are bought first: f's unit columns then apply each
+    once, not once per column.  A wider operand, the left one of a product
+    such as (2 x k)(k x 2), keeps renting: buying it would apply it k times
+    where f's columns apply it twice."""
     if type(f) is Prod or type(f) is Sum:
         for child in (f.left, f.right):
-            if type(plans[id(child)]) is int:
+            if type(plans[id(child)]) is int and child.order[1] <= f.order[1]:
                 yield _multiplied_out(child, plans)
     plans[id(f)] = f  # meanwhile, so that these applications go uncounted
     one = scalar_one(f.tag)
@@ -773,10 +777,9 @@ def balanced_tensor(factors: Sequence[Formula]) -> Formula:
 
 
 def _balance(node, factors: Sequence[Formula]) -> Formula:
-    n = len(factors)
-    if n < 3:
-        if not n:
-            raise ValueError("need at least one factor")
-        return factors[0] if n == 1 else node(factors[0], factors[1])
-    mid = n // 2
+    if not factors:
+        raise ValueError("need at least one factor")
+    if len(factors) == 1:
+        return factors[0]
+    mid = len(factors) // 2
     return node(_balance(node, factors[:mid]), _balance(node, factors[mid:]))

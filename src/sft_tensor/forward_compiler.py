@@ -35,7 +35,6 @@ padding) do it once.
 from __future__ import annotations
 
 from functools import partial, reduce
-from operator import itemgetter, or_
 from typing import Sequence, Union
 
 from .circuit import Gate, GateArray, validate_array
@@ -78,7 +77,6 @@ class _Nodes:
     def chain(self, kind, factors: Sequence[Formula]) -> Formula:
         """factors joined by kind left to right, as a balanced tree."""
         return _balance(self.joins[kind], factors)
-
 
 
 def odd_even_rounds(start: Sequence[int], target: Sequence[int]) -> list:
@@ -172,27 +170,29 @@ def _product(t: _Nodes, factors: list, n: int) -> Formula:
             done[-k:] = [t.chain(kind, done[-k:])]
             continue
         factors, lo, hi = step
-        if len(factors) < 2:
+        m = len(factors)
+        if m < 2:
             done.append(_chain(t, factors, lo, hi))
             continue
-        cover = reduce(or_, map(itemgetter(0), factors))
-        cross = reduce(or_, map(itemgetter(1), factors))
+        cover = cross = 0
+        for c, x, _ in factors:
+            cover |= c
+            cross |= x
         cuts = ~cross & (cover | cover >> 1) & ((1 << hi) - (1 << lo))
         ends = cuts and cuts | 1 << hi  # each piece ends at a cut or at hi
-        pieces, a = [], lo
+        pieces, narrow, a = [], False, lo
         while ends:
             b = (ends & -ends).bit_length() - 1
             ends &= ends - 1
             part = (2 << b) - (1 << a) & cover
-            pieces.append(([f for f in factors if f[0] & part] if part else [], a, b))
+            sub = [f for f in factors if f[0] & part] if part else []
+            narrow = narrow or len(sub) < m
+            pieces.append((sub, a, b))
             a = b + 1
-        if pieces and any(len(sub) < len(factors) for sub, _, _ in pieces):
+        if narrow:
             todo.append((Tensor, len(pieces)))
-        elif len(factors) == 2:  # two chains: no steps for them
-            done.append(t.chain(Prod, [_chain(t, [f], lo, hi) for f in factors[::-1]]))
-            continue
         else:
-            mid = len(factors) // 2
+            mid = m // 2
             pieces = [(factors[mid:], lo, hi), (factors[:mid], lo, hi)]
             todo.append((Prod, 2))
         todo += reversed(pieces)

@@ -905,6 +905,24 @@ class TestOneWalk:
         monkeypatch.undo()
         assert value == multiplied_out(f, 1 << 24)
 
+    def test_wide_operand_keeps_renting(self, monkeypatch):
+        # (A (B C)) R is 2 x 2 with A 2 x k and B, C, R dense k x k or
+        # k x 2.  Its two unit columns rent A (B C): 2 (2k^2 + 3k) scalar
+        # products.  Buying the k-column operand first, and B C in turn,
+        # would take k^3 + 4k^2 + 6k.
+        k = 8
+        ones = lambda r, c: Atom(mx([[1] * c for _ in range(r)]))
+        f = Prod(Prod(ones(2, k), Prod(ones(k, k), ones(k, k))), ones(k, 2))
+        calls = []
+        real = formula_module.scalar_mul
+        monkeypatch.setattr(
+            formula_module, "scalar_mul", lambda a, b: calls.append(a) or real(a, b)
+        )
+        value = evaluate(f)
+        assert len(calls) <= 2 * (2 * k * k + 3 * k)
+        monkeypatch.undo()
+        assert value == multiplied_out(f, 1 << 24)
+
     def test_support_matches_gate_kernel(self):
         # The walk drops exact cancellations, as _apply_gate does: rot35
         # then its inverse on every wire leaves one basis state.
