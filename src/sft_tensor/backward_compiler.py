@@ -291,15 +291,10 @@ def _pad_binary(f: Formula, left: tuple, right: tuple) -> tuple:
     return Prod(ph, Tensor(top, pk)), rh, ck
 
 
-def pad_formula(f: Formula, checked: bool = True) -> PaddedFormula:
+def pad_formula(f: Formula) -> PaddedFormula:
     """Pad an OSL formula so every subformula order is a power of 2; the
-    value survives as the leading block of the padded value.
-
-    checked=False skips the OSL check, for a formula the caller has
-    already checked.
-    """
-    if checked:
-        check_osl(f).raise_unless_osl()
+    value survives as the leading block of the padded value."""
+    check_osl(f).raise_unless_osl()
     padded, true_rows, _ = walk(_pad(f, _default_column_pad, {}))
     return PaddedFormula(original=f, padded=padded, block_length=true_rows)
 

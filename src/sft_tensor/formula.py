@@ -6,7 +6,12 @@ are entrywise sum (``+``), matrix product (``*``) or Kronecker product
 whose children's orders do not fit its operation is *invalid*, which is a
 value, not an exception (``order`` is None and the node never evaluates).
 Mixing semiring tags, by contrast, is always a programming error and
-raises immediately.
+raises immediately.  Each node stores, computed once in its constructor
+from its children's: order, tag, size (its node count written as a tree),
+diameter (the largest order component in its subtree; None if invalid)
+and sum_free.  OSL cleanliness (no Sum, every atom an OSL input) is
+memoised on each node as osl_clean the first time check_osl needs it,
+never at construction, so evaluation never pays the orthogonality test.
 
 Text syntax, fully parenthesised::
 
@@ -32,7 +37,9 @@ the package (the gate-array format's inline matrices use it too).
 The text is a tree, but a parsed formula is a DAG: equal atom texts in
 one formula are read once and share one Atom, and equal subtrees share
 one node.  The forward compiler's output is a DAG in the same way.
-check_osl, evaluation, rendering, size and diameter key their work on
+size, diameter and is_sum_free read the root.  check_osl tests each
+distinct atom once per formula's lifetime, and walks only to list the
+occurrences of offenders.  Evaluation and rendering key their work on
 node identity, so they do it once per distinct subtree (rendering copies
 a shared subtree's text at each later occurrence).  The backward
 compiler pads each distinct subtree without column atoms once; only its
@@ -54,8 +61,7 @@ every subformula's order, including the operators that are never built.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence
 
 from .errors import CapExceededError, ParseError, TagMismatchError, ValidationError
 from .linalg import (
@@ -99,75 +105,105 @@ __all__ = [
 
 DEFAULT_ENTRY_CAP = 1 << 24
 
-Order = Union[tuple, None]
 
-
-@dataclass(frozen=True)
 class Formula:
-    """Base node type; construct Atom, Sum, Prod or Tensor instead."""
+    """Base node type; construct Atom, Sum, Prod or Tensor instead.
+
+    Nodes are not changed after construction, apart from the osl_clean
+    memo.  == is structural; hash and repr read only the node's own
+    attributes, so none of the three recurses.
+    """
+
+    __slots__ = ("order", "tag", "size", "diameter", "sum_free", "osl_clean")
 
     @property
     def is_valid(self) -> bool:
         return self.order is not None
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        # Pairs already compared are skipped: equal shared DAGs compare in
+        # time linear in their distinct nodes.
+        seen = set()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if a._key() != b._key():
+                return False
+            if type(a) is not Atom:
+                stack += [(a.right, b.right), (a.left, b.left)]
+            elif a.matrix != b.matrix:
+                return False
+        return True
 
-@dataclass(frozen=True)
+    def _key(self) -> tuple:
+        return type(self), self.tag, self.order, self.size
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(order={self.order}, size={self.size})"
+
+
 class Atom(Formula):
-    matrix: Matrix
+    __slots__ = ("matrix",)
 
-    @property
-    def tag(self) -> Tag:
-        return self.matrix.tag
+    def __init__(self, matrix: Matrix):
+        self.matrix = matrix
+        self.tag = matrix.tag
+        self.order = (matrix.rows, matrix.cols)
+        self.size = 1
+        self.diameter = max(matrix.rows, matrix.cols)
+        self.sum_free = True
+        self.osl_clean = None
 
-    @property
-    def order(self) -> Order:
-        return (self.matrix.rows, self.matrix.cols)
 
-
-@dataclass(frozen=True)
 class _Binary(Formula):
-    left: Formula
-    right: Formula
-    order: Order = field(init=False, compare=False, repr=False)
-    tag: Tag = field(init=False, compare=False, repr=False)
+    __slots__ = ("left", "right")
 
-    def __post_init__(self):
-        tag = self.left.tag
-        if tag is not self.right.tag:
+    def __init__(self, left: Formula, right: Formula):
+        tag = left.tag
+        if tag is not right.tag:
             raise TagMismatchError(
-                f"cannot combine {tag.value} and "
-                f"{self.right.tag.value} subformulas"
+                f"cannot combine {tag.value} and {right.tag.value} subformulas"
             )
-        object.__setattr__(self, "order", self._combine_orders())
-        object.__setattr__(self, "tag", tag)
-
-    def _combine_orders(self) -> Order:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Sum(_Binary):
-    def _combine_orders(self) -> Order:
-        lo, ro = self.left.order, self.right.order
-        return lo if lo is not None and lo == ro else None
-
-
-@dataclass(frozen=True)
-class Prod(_Binary):
-    def _combine_orders(self) -> Order:
-        lo, ro = self.left.order, self.right.order
-        if lo is None or ro is None or lo[1] != ro[0]:
-            return None
-        return (lo[0], ro[1])
-
-
-@dataclass(frozen=True)
-class Tensor(_Binary):
-    def _combine_orders(self) -> Order:
-        lo, ro = self.left.order, self.right.order
+        kind = type(self)
+        lo, ro = left.order, right.order
         if lo is None or ro is None:
-            return None
-        return (lo[0] * ro[0], lo[1] * ro[1])
+            order = None
+        elif kind is Tensor:
+            order = (lo[0] * ro[0], lo[1] * ro[1])
+        elif kind is Prod:
+            order = (lo[0], ro[1]) if lo[1] == ro[0] else None
+        else:
+            order = lo if lo == ro else None
+        self.left = left
+        self.right = right
+        self.tag = tag
+        self.order = order
+        self.size = 1 + left.size + right.size
+        self.diameter = (
+            None if order is None else max(*order, left.diameter, right.diameter)
+        )
+        self.sum_free = kind is not Sum and left.sum_free and right.sum_free
+        self.osl_clean = None
+
+
+class Sum(_Binary):
+    __slots__ = ()
+
+
+class Prod(_Binary):
+    __slots__ = ()
+
+
+class Tensor(_Binary):
+    __slots__ = ()
 
 
 _OP_CHAR = {Sum: "+", Prod: "*", Tensor: "#"}
@@ -211,20 +247,6 @@ def _path_text(pos) -> str:
         pos, side = pos
         sides.append(side)
     return pos + "".join(reversed(sides))
-
-
-def _subformulas(f: Formula) -> list:
-    """Every (node, position) of f in pre-order; children are /L and /R."""
-    out = []
-
-    def visit(node, pos):
-        out.append((node, pos))
-        if isinstance(node, _Binary):
-            yield visit(node.left, (pos, "/L"))
-            yield visit(node.right, (pos, "/R"))
-
-    walk(visit(f, ""))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +321,10 @@ def scan_atom(text: str, pos: int, tag: Tag, memo: dict) -> tuple:
 def _shared_node(nodes: dict, kind, left: Formula, right: Formula) -> Formula:
     """The node kind(left, right) from nodes, built on first use.
 
-    It is keyed on (kind, id(left), id(right)), never on the node, whose
-    dataclass hash and == recurse.  Every node built stays reachable from
-    the dict, so as long as the leaves stay alive too, no id is reused
-    while the dict is in use.
+    It is keyed on (kind, id(left), id(right)), never on the node: ids
+    cost O(1), where a structural key costs a walk of the subtree.  Every
+    node built stays reachable from the dict, so as long as the leaves
+    stay alive too, no id is reused while the dict is in use.
     """
     key = (kind, id(left), id(right))
     node = nodes.get(key)
@@ -366,13 +388,15 @@ def _parse(text: str, tag: Tag) -> Formula:
 
 
 def _first_invalid_path(f: Formula) -> str:
-    """Path of the shallowest-leftmost node that breaks order synthesis."""
-    for node, pos in _subformulas(f):
-        if node.is_valid:
-            continue
-        if isinstance(node, _Binary) and node.left.is_valid and node.right.is_valid:
-            return _path_text(pos)
-    return ""
+    """Path of the pre-order-first invalid node whose children are valid.
+
+    f must be invalid.  A valid node's subtree is all valid, so the path
+    steps into the left child if it is invalid, else into the right."""
+    sides = []
+    while not (f.left.is_valid and f.right.is_valid):
+        f, side = (f.left, "/L") if not f.left.is_valid else (f.right, "/R")
+        sides.append(side)
+    return "".join(sides)
 
 
 def parse_formula(text: str, tag: Tag, mode: str = "strict") -> Formula:
@@ -450,50 +474,25 @@ def render_formula(f: Formula) -> str:
 # Structural metrics and predicates
 
 
-def _distinct_nodes(f: Formula) -> list:
-    """Each distinct node of f once, every node after its children."""
-    out = []
-    seen = set()
-    stack = [(f, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            out.append(node)
-        elif id(node) not in seen:
-            seen.add(id(node))
-            stack.append((node, True))
-            if type(node) is not Atom:
-                stack += [(node.right, False), (node.left, False)]
-    return out
-
-
 def size(f: Formula) -> int:
     """Number of nodes: 1 for an atom, else 1 + sizes of both children.
 
-    A shared node counts at every occurrence, but is sized once."""
-    sizes = {}
-    for node in _distinct_nodes(f):
-        sizes[id(node)] = (
-            1
-            if type(node) is Atom
-            else 1 + sizes[id(node.left)] + sizes[id(node.right)]
-        )
-    return sizes[id(f)]
+    A shared node counts at every occurrence."""
+    return f.size
 
 
 def diameter(f: Formula) -> int:
     """Largest order component appearing anywhere in the formula."""
     if not f.is_valid:
         raise ValidationError("diameter of an invalid formula is undefined")
-    return max(max(node.order) for node in _distinct_nodes(f))
+    return f.diameter
 
 
 def is_sum_free(f: Formula) -> bool:
-    return not any(type(node) is Sum for node in _distinct_nodes(f))
+    return f.sum_free
 
 
-@dataclass(frozen=True)
-class OslReport:
+class OslReport(NamedTuple):
     """Outcome of check_osl; is_osl requires all three checks to pass."""
 
     is_sum_free: bool
@@ -528,40 +527,39 @@ def check_osl(f: Formula) -> OslReport:
     Offending paths list every occurrence of every Sum node and every
     failing atom, sorted.
     """
-    clean: dict = {}
-    walk(_osl_clean(f, clean))
+    if f.osl_clean is None:
+        walk(_osl_clean(f))
     offending = []
-    if not clean[id(f)]:
-        walk(_osl_offenders(f, "", clean, offending))
-    sum_free = not any(type(node) is Sum for node, _ in offending)
+    if not f.osl_clean:
+        walk(_osl_offenders(f, "", offending))
     inputs_ok = not any(type(node) is Atom for node, _ in offending)
     column = f.order is not None and f.order[1] == 1
     paths = sorted(_path_text(pos) for _, pos in offending)
-    return OslReport(sum_free, inputs_ok, column, tuple(paths))
+    return OslReport(f.sum_free, inputs_ok, column, tuple(paths))
 
 
-def _osl_clean(f: Formula, clean: dict):
-    """Pass for walk, once per distinct node: clean[id(node)] says whether
-    the subtree holds no Sum and no failing atom."""
+def _osl_clean(f: Formula):
+    """Pass for walk over the nodes not yet checked: sets node.osl_clean,
+    whether the subtree holds no Sum and no failing atom."""
     if type(f) is Atom:
-        clean[id(f)] = _osl_atom_ok(f.matrix)
+        f.osl_clean = _osl_atom_ok(f.matrix)
         return
     for child in (f.left, f.right):
-        if id(child) not in clean:
-            yield _osl_clean(child, clean)
-    clean[id(f)] = type(f) is not Sum and clean[id(f.left)] and clean[id(f.right)]
+        if child.osl_clean is None:
+            yield _osl_clean(child)
+    f.osl_clean = type(f) is not Sum and f.left.osl_clean and f.right.osl_clean
 
 
-def _osl_offenders(f: Formula, pos, clean: dict, out: list):
+def _osl_offenders(f: Formula, pos, out: list):
     """Pass for walk over the unclean subtrees only, once per occurrence:
     appends (node, position) of each Sum and failing atom."""
     if type(f) is Atom or type(f) is Sum:
         out.append((f, pos))
     if type(f) is not Atom:
-        if not clean[id(f.left)]:
-            yield _osl_offenders(f.left, (pos, "/L"), clean, out)
-        if not clean[id(f.right)]:
-            yield _osl_offenders(f.right, (pos, "/R"), clean, out)
+        if not f.left.osl_clean:
+            yield _osl_offenders(f.left, (pos, "/L"), out)
+        if not f.right.osl_clean:
+            yield _osl_offenders(f.right, (pos, "/R"), out)
 
 
 # ---------------------------------------------------------------------------

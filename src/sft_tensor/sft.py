@@ -111,8 +111,7 @@ def boolean_fastpath(inst: SftInstance) -> SftVerdict:
         raise ValidationError(
             f"fast path handles Boolean instances, got {inst.formula.tag.value}"
         )
-    # SftInstance has checked the formula is OSL.
-    padding = pad_formula(inst.formula, checked=False)
+    padding = pad_formula(inst.formula)
     if padding.padded.order == (1, 1):
         # No wires to build an array on; the value is the single entry.
         return decide_sft(inst)

@@ -36,6 +36,7 @@ from sft_tensor import formula as formula_module
 from sft_tensor.forward_compiler import compile_array_to_formula, input_vector_formula
 from sft_tensor.backward_compiler import (
     formula_to_array,
+    pad_formula,
     pad_formula_with_denominators,
     transpose_formula,
 )
@@ -436,6 +437,12 @@ class TestSubtreeSharing:
         assert check_osl(f).is_osl
         atoms = [n for n in distinct_nodes(f) if isinstance(n, Atom)]
         assert len(checked) == len(atoms) < size(f) // 2
+        # Cleanliness is memoised on the nodes: later checks of f, by
+        # check_osl itself, padding or the fast path, test no atom again.
+        assert check_osl(f).is_osl
+        pad_formula(f)
+        boolean_fastpath(SftInstance(f, k=1))
+        assert len(checked) == len(atoms)
 
     def test_plan_checks_each_distinct_node_once(self, monkeypatch):
         rng = random.Random(6)
@@ -528,6 +535,9 @@ class TestDeepChains:
         f = deep_chain(side, Q)
         tree = unshared(f)
         assert render_formula(tree) == render_formula(f)
+        assert tree == f and f == tree
+        assert hash(tree) == hash(f)
+        assert len(repr(f)) < 200 and len(repr(tree)) < 200
         assert (size(tree), diameter(tree)) == (size(f), diameter(f))
         assert check_osl(tree) == check_osl(f)
         assert evaluate(tree) == evaluate(f)
@@ -561,6 +571,8 @@ class TestDeepChains:
         assert simulate(array, state).amplitudes == evaluate(f)
         assert evaluate(transpose_formula(f)) == mx([[0, 1]], B)
         inst = SftInstance(f, k=1)
+        again = SftInstance(deep_chain(side, B), k=1)
+        assert inst == again and hash(inst) == hash(again)
         assert boolean_fastpath(inst) == decide_sft(inst)
         assert decide_sft(inst).accept
         g, k_eff, delta = pad_formula_with_denominators(deep_chain(side, Q), 1)
@@ -652,12 +664,19 @@ class TestMetrics:
 
     def test_shared_node_counts_at_every_occurrence(self):
         # 60 squarings of one atom: 2^61 - 1 nodes written as a tree, 61
-        # distinct nodes, each sized once.
-        f = Atom(mx([[1, 2], [3, 4]]))
-        for _ in range(60):
-            f = Prod(f, f)
+        # distinct nodes, each sized once.  Equality compares each pair of
+        # distinct nodes once, so two such DAGs compare at once.
+        def squarings(atom):
+            f = Atom(mx(atom))
+            for _ in range(60):
+                f = Prod(f, f)
+            return f
+
+        f = squarings([[1, 2], [3, 4]])
         assert size(f) == 2**61 - 1
         assert diameter(f) == 2
+        assert f == squarings([[1, 2], [3, 4]])
+        assert f != squarings([[1, 2], [3, 5]])
 
     def test_diameter_requires_valid(self):
         with pytest.raises(ValidationError):
@@ -1021,6 +1040,19 @@ class TestProperties:
     def test_round_trip(self, data):
         f = rand_formula(data, max_depth=4)
         assert parse_formula(render_formula(f), Q) == f
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_stored_metrics_match_walks(self, data):
+        # Each node's stored metrics against walks of its subtree, on the
+        # drawn tree and on its parse, which shares equal subtrees.
+        tree = rand_formula(data, max_depth=4)
+        for f in (tree, parse_formula(render_formula(tree), Q)):
+            for node in distinct_nodes(f):
+                below = distinct_nodes(node)
+                assert size(node) == len(distinct_nodes(unshared(node)))
+                assert diameter(node) == max(max(n.order) for n in below)
+                assert is_sum_free(node) == (not any(isinstance(n, Sum) for n in below))
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
