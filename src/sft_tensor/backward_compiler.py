@@ -76,7 +76,6 @@ __all__ = [
     "pad_formula",
     "pad_formula_with_denominators",
     "pad_unit_vector_denominator",
-    "padded_to_array",
     "pow2_ceil",
     "transpose_formula",
 ]
@@ -473,20 +472,26 @@ def _rep(f: Formula, wires: tuple):
     return k_open, h_blocks + k_blocks, _joined(k_levels, h_levels)
 
 
-def padded_to_array(padded: Formula):
-    """Read a padded OSL formula as (GateArray, input support).
+def formula_to_array(f: Formula):
+    """Compile an OSL formula to (GateArray, StateVector).
 
-    The support maps every basis index whose input amplitude is nonzero to
-    that amplitude.  It is built from the column blocks, which partition
-    the wires, so no other index is visited.
+    simulate(array, state) equals evaluate(pad_formula(f).padded): the
+    value in the leading block_length entries, junk after.  The state
+    lists every amplitude, so it is refused, like evaluate's value, when
+    it would have over DEFAULT_ENTRY_CAP of them.  Its nonzero amplitudes
+    are built from the column blocks, which partition the wires, so no
+    other index is visited.
     """
-    width = _log2(padded.order[0])
+    padded = pad_formula(f).padded
+    _checked_order(padded, DEFAULT_ENTRY_CAP, "")
+    rows = padded.order[0]
+    width = _log2(rows)
     if width == 0:
         raise ValidationError(
             "formula value is a single scalar; there is no wire to build an array on"
         )
     _, blocks, levels = walk(_rep(padded, tuple(range(1, width + 1))))
-    support = {0: scalar_one(padded.tag)}
+    support = {0: scalar_one(f.tag)}
     for ws, vec in blocks:
         masks = wire_masks(ws, width)
         support = {
@@ -495,23 +500,8 @@ def padded_to_array(padded: Formula):
             for j, v in enumerate(vec)
             if not v.is_zero()
         }
-    return GateArray(padded.tag, width, levels), support
-
-
-def formula_to_array(f: Formula):
-    """Compile an OSL formula to (GateArray, StateVector).
-
-    simulate(array, state) equals evaluate(pad_formula(f).padded): the
-    value in the leading block_length entries, junk after.  The state
-    lists every amplitude, so it is refused, like evaluate's value, when
-    it would have over DEFAULT_ENTRY_CAP of them.
-    """
-    padded = pad_formula(f).padded
-    _checked_order(padded, DEFAULT_ENTRY_CAP, "")
-    rows = padded.order[0]
-    array, support = padded_to_array(padded)
     entries = [scalar_zero(f.tag)] * rows
     for g, amp in support.items():
         entries[g] = amp
-    state = StateVector(array.width, Matrix.from_entries(f.tag, rows, 1, entries))
-    return array, state
+    state = StateVector(width, Matrix.from_entries(f.tag, rows, 1, entries))
+    return GateArray(f.tag, width, levels), state

@@ -14,9 +14,8 @@ gates *adjacent* is deliberately not done here; that rewriting belongs to
 the forward compiler, where it is visible in the emitted formula.
 
 simulate holds the state sparse, as {basis index: nonzero amplitude},
-and updates it gate by gate in _apply_gate, the one state kernel (the
-Boolean fast path in sft runs compiled arrays through it too).  Only the
-output is densified; no 2^n x 2^n operator is built.  level_operator
+and updates it gate by gate in _apply_gate, the one state kernel.  Only
+the output is densified; no 2^n x 2^n operator is built.  level_operator
 builds exactly that operator from embeddings, an independent route
 against which the simulator is tested.  Both take every wire-bit index
 from wire_masks: a basis index is a mask of a gate's wires or'ed with a
@@ -40,8 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParseError, TagMismatchError, ValidationError
-from .formula import Atom, parse_formula, render_formula, scan_atom
+from .errors import CapExceededError, ParseError, TagMismatchError, ValidationError
+from .formula import DEFAULT_ENTRY_CAP, Atom, parse_formula, render_formula, scan_atom
 from .linalg import (
     Matrix,
     basis_vector,
@@ -192,6 +191,8 @@ class StateVector:
             raise ValidationError(
                 f"basis label must be {width} bits of 0/1, got {bits!r}"
             )
+        if 1 << width > DEFAULT_ENTRY_CAP:  # refused before it is built
+            raise CapExceededError("", 1 << width, 1, DEFAULT_ENTRY_CAP)
         return cls(width, basis_vector(1 << width, int(bits, 2) + 1, tag))
 
     def basis_bits(self) -> str | None:

@@ -51,8 +51,9 @@ node; diameters can grow doubly exponentially with depth, and the cap
 turns that into a clean, deterministically attributed error.  Every
 formula is evaluated by one walk that applies its factors to columns: a
 product feeds its right factor's column to its left factor, a Kronecker
-product acts block by block, and subtrees whose atoms are all
-permutations are multiplied out (into a compact permutation).  A product
+product acts block by block, and a subtree whose atoms are all
+permutations moves each index it is applied to, composing itself into a
+permutation only once it has moved as many as it has columns.  A product
 or sum applied as often as it has columns is multiplied out once, for
 every later use, and so is a non-column root.  The cap still bounds
 every subformula's order, including the operators that are never built.
@@ -64,15 +65,7 @@ import re
 from typing import NamedTuple, Sequence
 
 from .errors import CapExceededError, ParseError, TagMismatchError, ValidationError
-from .linalg import (
-    Matrix,
-    is_orthogonal,
-    is_unit_column,
-    kronecker,
-    mat_add,
-    mat_mul,
-    zero_matrix,
-)
+from .linalg import Matrix, is_orthogonal, is_unit_column, zero_matrix
 from .semiring import (
     Tag,
     parse_scalar,
@@ -566,9 +559,6 @@ def _osl_offenders(f: Formula, pos, out: list):
 # Evaluation
 
 
-_MAT_OP = {Sum: mat_add, Prod: mat_mul, Tensor: kronecker}
-
-
 def _checked_order(f: Formula, cap: int, pos) -> None:
     rows, cols = f.order
     if rows * cols > cap:
@@ -578,8 +568,9 @@ def _checked_order(f: Formula, cap: int, pos) -> None:
 # Every formula is evaluated by one post-order walk.  It checks every
 # node's order against the cap and keeps each node's plan in one table:
 #
-#   - a Matrix, multiplied out, for a non-column subtree whose atoms are
-#     all permutations (a compact permutation unless it holds a Sum);
+#   - a permutation atom's tuple p (column j goes to row p[j]);
+#   - a _Memo {index: image}, for a non-column product or Kronecker
+#     product whose factors' plans are permutations;
 #   - a sparse column {row: nonzero Scalar}, for a column-valued node;
 #   - for any other node, the node itself, which _apply applies to columns
 #     through its children's plans without building it; for a product or
@@ -595,6 +586,9 @@ def _checked_order(f: Formula, cap: int, pos) -> None:
 # its matrix is larger than theirs together.  A node being multiplied out
 # first buys each operand still renting that has no more columns than it:
 # the operand's columns then cost no more than the node's applying it.
+# A memo rents and buys by the same rule, counted in indices: it records
+# the image of each index it is applied to until it would hold as many as
+# it has columns, and then it is composed into a tuple (see _moved).
 #
 # The table is per call and keyed by node identity.  A parent looks its
 # child up there before visiting it, so a shared subtree is planned and
@@ -603,10 +597,14 @@ def _checked_order(f: Formula, cap: int, pos) -> None:
 # path are those of the same formula written as a tree.
 
 
+class _Memo(dict):
+    __slots__ = ()
+
+
+_PERMS = (tuple, _Memo)
+
+
 def _mat_vec(m: Matrix, x: dict) -> dict:
-    perm = m.perm_or_none()
-    if perm is not None:
-        return {perm[j]: v for j, v in x.items()}
     e, cols = m.entries, m.cols
     out: dict = {}
     for j, v in x.items():
@@ -626,15 +624,48 @@ def _vec_add(x: dict, y: dict) -> dict:
     return {i: v for i, v in out.items() if not v.is_zero()}
 
 
+def _moved(f: Formula, indices, plans: dict):
+    """Pass for walk: f's permutation plan, once it holds every index's image.
+
+    A memo moves only the indices new to it, while it and they are fewer
+    than f's columns: a product moves each through its right factor, then
+    its left, and a Kronecker product splits each by divmod between its
+    factors.  Otherwise it moves every column, which buys the factors too,
+    and the images become f's tuple."""
+    plan = plans[id(f)]
+    new = [] if type(plan) is tuple else [j for j in indices if j not in plan]
+    if not new:
+        return plan
+    if len(plan) + len(new) >= f.order[1]:
+        new = range(f.order[1])
+    if type(f) is Prod:
+        right = yield _moved(f.right, new, plans)
+        left = yield _moved(f.left, [right[j] for j in new], plans)
+        images = [left[right[j]] for j in new]
+    else:
+        n = f.right.order[1]
+        left = yield _moved(f.left, {j // n for j in new}, plans)
+        right = yield _moved(f.right, {j % n for j in new}, plans)
+        images = [left[j // n] * n + right[j % n] for j in new]
+    if type(new) is range:
+        plans[id(f)] = plan = tuple(images)
+    else:
+        plan.update(zip(new, images))
+    return plan
+
+
 def _apply(f: Formula, x: dict, plans: dict):
     """f applied to the sparse column x through its current plan."""
     plan = plans[id(f)]
     kind = type(plan)
+    if kind is _Memo:
+        plan = yield _moved(f, x, plans)
+        kind = tuple
+    if kind is tuple:
+        return {plan[j]: v for j, v in x.items()}
     if kind is dict:  # a column, acting as a one-column operator
         s = x.get(0)
         return {} if s is None else {i: scalar_mul(a, s) for i, a in plan.items()}
-    if kind is Matrix:
-        return _mat_vec(plan, x)
     if kind is Atom:
         return _mat_vec(plan.matrix, x)
     if kind is int:
@@ -709,9 +740,9 @@ def _plan(f: Formula, cap: int, pos, plans: dict):
     if kind is Atom and f.order[1] == 1:
         plan = {i: s for i, s in enumerate(f.matrix.entries) if not s.is_zero()}
     elif kind is Atom:
-        plan = f.matrix if f.matrix.perm_or_none() is not None else f
-    elif type(left) is Matrix and type(right) is Matrix:
-        plan = _MAT_OP[kind](left, right)
+        plan = f.matrix.perm_or_none() or f
+    elif kind is not Sum and type(left) in _PERMS and type(right) in _PERMS:
+        plan = _Memo()
     elif f.order[1] != 1:
         plan = f if kind is Tensor else 0
     elif kind is Prod:
@@ -729,6 +760,11 @@ def _plan(f: Formula, cap: int, pos, plans: dict):
     return plan
 
 
+def _sparse_value(f: Formula, entry_cap: int) -> dict:
+    """The value {row: nonzero entry} of a valid column formula."""
+    return walk(_plan(f, entry_cap, "", {}))
+
+
 def evaluate(
     f: Formula, entry_cap: int = DEFAULT_ENTRY_CAP, mode: str = "strict"
 ) -> Matrix:
@@ -740,7 +776,8 @@ def evaluate(
     offender in post-order is reported.  Operators are applied to columns
     rather than built; a product or sum is multiplied out only once it has
     been applied as often as it has columns.  A non-column value is
-    multiplied out one unit column at a time.
+    multiplied out one unit column at a time, or composed if it is a
+    permutation.
     """
     if mode not in ("strict", "paper"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -753,8 +790,9 @@ def evaluate(
         )
     plans: dict = {}
     plan = walk(_plan(f, entry_cap, "", plans))  # checks the root's order too
-    if type(plan) is Matrix:
-        return plan
+    if type(plan) in _PERMS:
+        perm = walk(_moved(f, range(f.order[1]), plans))
+        return Matrix(f.tag, len(perm), len(perm), None, perm)
     return _dense(f, [plan]) if type(plan) is dict else walk(_multiplied_out(f, plans))
 
 

@@ -10,12 +10,11 @@ reports whether the value fell inside the band [1-alpha, alpha] that
 promise instances are supposed to avoid; a single instance can only be
 checked against the promise, not proven to satisfy it.
 
-Over the Boolean semiring the value is 0 or 1 and the three variants
-agree.  Such instances also admit a cheaper route, the paper's reduction
-run as written: every orthogonal Boolean atom is a permutation, so the
-compiled gate array moves basis states to basis states.  The fast path
-runs that array on the input's support, through the simulator's own
-sparse gate kernel, and never builds a state vector or an operator.
+The value is read off the sparse column that evaluate's walk leaves
+behind, so no dense column is built.  Over the Boolean semiring the value
+is 0 or 1 and the three variants agree.  Every orthogonal Boolean atom is
+a permutation, so the walk only moves support indices: the fast path is
+the same decision with the entry cap lifted.
 """
 
 from __future__ import annotations
@@ -23,18 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-# formula_to_array is not called here, but the benchmark's traced run
-# times the compile step at sft.formula_to_array, so the name stays.
-from .backward_compiler import (  # noqa: F401
-    formula_to_array,
-    pad_formula,
-    padded_to_array,
-)
-from .circuit import _run_levels
+# evaluate, pad_formula and formula_to_array are not called here, but the
+# benchmark's traced run times those layers at these names, so they stay.
+from .backward_compiler import formula_to_array, pad_formula  # noqa: F401
 from .errors import ValidationError
-from .formula import DEFAULT_ENTRY_CAP, Formula, check_osl, evaluate
-from .linalg import partial_trace_outer
-from .semiring import Scalar, Tag, make_scalar
+from .formula import DEFAULT_ENTRY_CAP, Formula, _sparse_value, check_osl, evaluate  # noqa: F401
+from .semiring import Scalar, Tag, norm_square, norm_tag, scalar_add, scalar_zero
 
 __all__ = [
     "SftInstance",
@@ -91,31 +84,23 @@ def _verdict(inst: SftInstance, value: Scalar) -> SftVerdict:
 
 
 def decide_sft(inst: SftInstance, entry_cap: int = DEFAULT_ENTRY_CAP) -> SftVerdict:
-    """Evaluate the formula and compare its trailing-window weight
-    against the instance threshold."""
-    value = partial_trace_outer(evaluate(inst.formula, entry_cap=entry_cap), inst.k)
+    """Weigh the last k rows of the formula's sparse value column (a
+    Boolean OR) against the instance threshold."""
+    f = inst.formula
+    value = scalar_zero(norm_tag(f.tag))
+    for i, s in _sparse_value(f, entry_cap).items():
+        if i >= f.order[0] - inst.k:
+            value = scalar_add(value, norm_square(s))
     return _verdict(inst, value)
 
 
 def boolean_fastpath(inst: SftInstance) -> SftVerdict:
-    """Decide a Boolean instance by running its compiled array.
+    """Decide a Boolean instance with no entry cap.
 
-    The padded formula compiles to a gate array and the input's support
-    (the basis indices with amplitude 1), and the support runs through
-    the array in simulate's own sparse gate kernel.  Every Boolean gate
-    is a permutation, so the support never grows.  The instance accepts
-    exactly when the final support meets the last k entries of the true
-    (unpadded) block.
-    """
+    Its square atoms are permutations and it has no Sum, so the walk
+    builds nothing but support-sized columns and index memos."""
     if inst.formula.tag is not Tag.BOOLEAN:
         raise ValidationError(
             f"fast path handles Boolean instances, got {inst.formula.tag.value}"
         )
-    padding = pad_formula(inst.formula)
-    if padding.padded.order == (1, 1):
-        # No wires to build an array on; the value is the single entry.
-        return decide_sft(inst)
-    support = _run_levels(*padded_to_array(padding.padded))
-    end = padding.block_length
-    hit = any(end - inst.k <= g < end for g in support)
-    return _verdict(inst, make_scalar(Tag.BOOLEAN, 1 if hit else 0))
+    return decide_sft(inst, entry_cap=float("inf"))

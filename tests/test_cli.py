@@ -216,6 +216,19 @@ class TestCompileFormula:
             "exceeding the cap of 16777216\n",
         )
 
+    @pytest.mark.parametrize("verb", ["simulate", "compile-circuit"])
+    @pytest.mark.parametrize("width", [25, 64])
+    def test_wide_basis_input_past_cap(self, tmp_path, capsys, verb, width):
+        # A one-gate file whose basis input would be a 2^width column is
+        # refused before that column is built.
+        text = f"width {width}\nlevel\ngate not 1\ninput basis {'0' * width}\n"
+        start = time.perf_counter()
+        assert main([verb, write(tmp_path, "wide.circuit", text)]) == 4
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: subformula at root has order {1 << width}x1")
+
 
 class TestSimulate:
     def test_golden_output(self, toffoli_file, capsys):

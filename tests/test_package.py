@@ -2,7 +2,9 @@
 nodes stay slotted."""
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -31,3 +33,19 @@ def test_formula_nodes_have_no_instance_dict():
     a = Atom(identity(2, Tag.RATIONAL))
     for node in (a, Sum(a, a), Prod(a, a), Tensor(a, a)):
         assert not hasattr(node, "__dict__")
+
+
+def test_bench_wrap_points_resolve():
+    # The bench times each layer by wrapping these module attributes; one
+    # that is gone drops that layer's metrics without failing a run.
+    path = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+    spec = importlib.util.spec_from_file_location("bench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    missing = [
+        (module, attr)
+        for points in run.SPAN_POINTS.values()
+        for module, attr in points
+        if not hasattr(importlib.import_module(f"sft_tensor.{module}"), attr)
+    ]
+    assert missing == []

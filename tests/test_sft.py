@@ -1,13 +1,17 @@
 """Decision semantics of the partial-trace problem and its variants."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import rand_array, rand_osl_formula, unshared
+from generators import distinct_nodes, multiplied_out, rand_array, rand_osl_formula, unshared
+from test_forward_compiler import basis_image
+
+import sft_tensor.formula as formula_module
 
 from sft_tensor.circuit import (
     StateVector,
@@ -26,7 +30,7 @@ from sft_tensor.formula import (
     render_formula,
 )
 from sft_tensor.forward_compiler import compile_array_to_formula, input_vector_formula
-from sft_tensor.linalg import Matrix, basis_vector, identity, mat_mul
+from sft_tensor.linalg import Matrix, basis_vector, identity, mat_mul, partial_trace_outer
 from sft_tensor.semiring import Tag, make_scalar
 from sft_tensor.sft import SftInstance, SftVerdict, boolean_fastpath, decide_sft
 
@@ -253,3 +257,60 @@ class TestProbabilitySemantics:
             if not acceptance_probability(out, k).is_zero():
                 accepted += 1
         assert value.re == Fraction(accepted, 4)
+
+
+class TestIndexWalk:
+    """decide_sft reads its value off the walk's sparse column, moving
+    support indices through permutation subtrees."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_decide_matches_multiplied_out(self, data):
+        tag = data.draw(st.sampled_from(list(Tag)))
+        rng = random.Random(data.draw(st.integers(0, 1 << 32)))
+        g = rand_osl_formula(rng, tag, max_depth=3, max_rows=8)
+        # g # g parsed from text shares its two factors.
+        for f in (g, parse_formula(render_formula(Tensor(g, g)), tag)):
+            k = data.draw(st.integers(1, 70))
+            value = partial_trace_outer(multiplied_out(f, 1 << 24), k)
+            assert decide_sft(SftInstance(f, k=k)).value == value
+
+    def test_fastpath_at_64_wires(self):
+        rng = random.Random(64)
+        width, end = 64, 1 << 64
+        c = compile_array_to_formula(rand_array(rng, width, 8, B))
+        for _ in range(3):
+            bits = "".join(rng.choice("01") for _ in range(width))
+            out = basis_image(c, int(bits, 2))
+            f = Prod(c, input_vector_formula(bits, B))
+            for k in (1 << 63, end - out, max(1, end - out - 1)):
+                accept = out >= end - k
+                verdict = boolean_fastpath(SftInstance(f, k=k))
+                assert verdict == SftVerdict(make_scalar(B, int(accept)), accept)
+
+    def test_images_stay_within_support(self):
+        # Input support s = 4 on a compiled Boolean circuit: each
+        # occurrence of a node moves at most s indices, so a node that is
+        # not an atom holds at most s images per occurrence.
+        rng = random.Random(12)
+        width = 12
+        c = compile_array_to_formula(rand_array(rng, width, 8, B))
+        both = bool_col([1, 1])
+        columns = [both, both] + [basis_vector(2, 1, B)] * (width - 2)
+        f = Prod(c, input_vector_formula(columns, B))
+        plans: dict = {}
+        column = formula_module.walk(formula_module._plan(f, 1 << 24, "", plans))
+        assert len(column) == 4
+        occurrences = Counter()
+        stack = [c]
+        while stack:
+            node = stack.pop()
+            occurrences[id(node)] += 1
+            if not isinstance(node, Atom):
+                stack += [node.left, node.right]
+        held = [
+            (len(plans[id(node)]), 4 * occurrences[id(node)])
+            for node in distinct_nodes(c)
+            if not isinstance(node, Atom)
+        ]
+        assert held and all(n <= bound for n, bound in held)
