@@ -192,7 +192,9 @@ class StateVector:
                 f"basis label must be {width} bits of 0/1, got {bits!r}"
             )
         if 1 << width > DEFAULT_ENTRY_CAP:  # refused before it is built
-            raise CapExceededError("", 1 << width, 1, DEFAULT_ENTRY_CAP)
+            raise CapExceededError(
+                "", 1 << width, 1, DEFAULT_ENTRY_CAP, "input basis state"
+            )
         return cls(width, basis_vector(1 << width, int(bits, 2) + 1, tag))
 
     def basis_bits(self) -> str | None:

@@ -38,9 +38,9 @@ class ValidationError(SftTensorError):
 class CapExceededError(SftTensorError):
     """An intermediate matrix would exceed the configured entry cap."""
 
-    def __init__(self, path: str, rows: int, cols: int, cap: int):
+    def __init__(self, path: str, rows: int, cols: int, cap: int, subject: str = ""):
         super().__init__(
-            f"subformula at {path or 'root'} has order {rows}x{cols} "
+            f"{subject or 'subformula at ' + (path or 'root')} has order {rows}x{cols} "
             f"({rows * cols} entries), exceeding the cap of {cap}"
         )
         self.path = path

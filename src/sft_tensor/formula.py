@@ -53,10 +53,11 @@ formula is evaluated by one walk that applies its factors to columns: a
 product feeds its right factor's column to its left factor, a Kronecker
 product acts block by block, and a subtree whose atoms are all
 permutations moves each index it is applied to, composing itself into a
-permutation only once it has moved as many as it has columns.  A product
-or sum applied as often as it has columns is multiplied out once, for
-every later use, and so is a non-column root.  The cap still bounds
-every subformula's order, including the operators that are never built.
+permutation only once that would cost less than moving more.  A product
+or sum applied as often as it has columns is multiplied out once, into
+sparse columns for every later use, and so is a non-column root.  The cap
+still bounds every subformula's order, including the operators that are
+never built.
 """
 
 from __future__ import annotations
@@ -569,6 +570,7 @@ def _checked_order(f: Formula, cap: int, pos) -> None:
 # node's order against the cap and keeps each node's plan in one table:
 #
 #   - a permutation atom's tuple p (column j goes to row p[j]);
+#   - a list of sparse columns, for any other non-column atom;
 #   - a _Memo {index: image}, for a non-column product or Kronecker
 #     product whose factors' plans are permutations;
 #   - a sparse column {row: nonzero Scalar}, for a column-valued node;
@@ -580,15 +582,17 @@ def _checked_order(f: Formula, cap: int, pos) -> None:
 # Applying an operator at every occurrence costs time exponential in the
 # depth of a DAG such as f_(i+1) = f_i * f_i.  So a product or sum rents
 # before it buys: once it has been applied as often as it has columns, it
-# is multiplied out one unit column at a time, and the Atom of that matrix,
-# whose order has passed the cap, serves every later use.  A Kronecker
+# is multiplied out one unit column at a time, and those sparse columns
+# serve every later use: no dense matrix of its order is built.  A Kronecker
 # product never is: block by block already keeps its factors apart, and
 # its matrix is larger than theirs together.  A node being multiplied out
 # first buys each operand still renting that has no more columns than it:
 # the operand's columns then cost no more than the node's applying it.
-# A memo rents and buys by the same rule, counted in indices: it records
-# the image of each index it is applied to until it would hold as many as
-# it has columns, and then it is composed into a tuple (see _moved).
+# A memo rents and buys by the same rule, with each index priced at
+# _INDEX_PRICE entries, as moving one index through a node by hand costs
+# about as much as composing that many entries of its tuple: it records
+# images until their price would reach its column count, and then it is
+# composed into a tuple (see _moved).
 #
 # The table is per call and keyed by node identity.  A parent looks its
 # child up there before visiting it, so a shared subtree is planned and
@@ -602,16 +606,21 @@ class _Memo(dict):
 
 
 _PERMS = (tuple, _Memo)
+_INDEX_PRICE = 16
 
 
-def _mat_vec(m: Matrix, x: dict) -> dict:
+def _columns(m: Matrix) -> list:
+    """m's columns, each as {row: nonzero entry}."""
     e, cols = m.entries, m.cols
+    return [
+        {i: s for i, s in enumerate(e[j::cols]) if not s.is_zero()} for j in range(cols)
+    ]
+
+
+def _mat_vec(columns: list, x: dict) -> dict:
     out: dict = {}
     for j, v in x.items():
-        for i in range(m.rows):
-            a = e[i * cols + j]
-            if a.is_zero():
-                continue
+        for i, a in columns[j].items():
             t = scalar_mul(a, v)
             out[i] = scalar_add(out[i], t) if i in out else t
     return {i: v for i, v in out.items() if not v.is_zero()}
@@ -625,49 +634,66 @@ def _vec_add(x: dict, y: dict) -> dict:
 
 
 def _moved(f: Formula, indices, plans: dict):
-    """Pass for walk: f's permutation plan, once it holds every index's image.
+    """f's permutation plan, once it holds the image of every index.
 
-    A memo moves only the indices new to it, while it and they are fewer
-    than f's columns: a product moves each through its right factor, then
-    its left, and a Kronecker product splits each by divmod between its
-    factors.  Otherwise it moves every column, which buys the factors too,
-    and the images become f's tuple."""
+    A memo moves each new index on its own, while the price of its images
+    stays below its column count: a product moves it through its right
+    factor, then its left, and a Kronecker product splits it by divmod.
+    Otherwise the node is composed once, from its factors' tuples.  Nodes
+    wait on a stack beside their index (None: every column), and their
+    images or tuples on another."""
     plan = plans[id(f)]
-    new = [] if type(plan) is tuple else [j for j in indices if j not in plan]
-    if not new:
+    if type(plan) is tuple:
         return plan
-    if len(plan) + len(new) >= f.order[1]:
-        new = range(f.order[1])
-    if type(f) is Prod:
-        right = yield _moved(f.right, new, plans)
-        left = yield _moved(f.left, [right[j] for j in new], plans)
-        images = [left[right[j]] for j in new]
-    else:
-        n = f.right.order[1]
-        left = yield _moved(f.left, {j // n for j in new}, plans)
-        right = yield _moved(f.right, {j % n for j in new}, plans)
-        images = [left[j // n] * n + right[j % n] for j in new]
-    if type(new) is range:
-        plans[id(f)] = plan = tuple(images)
-    else:
-        plan.update(zip(new, images))
-    return plan
+    new = [j for j in indices if j not in plan]
+    if _INDEX_PRICE * (len(plan) + len(new)) >= f.order[1]:
+        new = [None]
+    stack = [(f, j, 0) for j in new]
+    out: list = []
+    while stack:
+        g, j, stage = stack.pop()
+        if stage == 1:  # a product's left factor moves its right's image
+            stage, j = 0, out.pop()
+        plan = plans[id(g)]
+        if stage == 0:
+            if type(plan) is tuple or j in plan:
+                out.append(plan if j is None else plan[j])
+            elif j is None or _INDEX_PRICE * (len(plan) + 1) >= g.order[1]:
+                stack += ((g, j, 3), (g.left, None, 0), (g.right, None, 0))
+            elif type(g) is Prod:
+                stack += ((g, j, 2), (g.left, None, 1), (g.right, j, 0))
+            else:
+                n = g.right.order[1]
+                stack += ((g, j, 2), (g.left, j // n, 0), (g.right, j % n, 0))
+        elif stage == 2 and type(g) is Prod:
+            plan[j] = out[-1]
+        elif stage == 2:
+            a, b = out.pop(), out.pop()  # the left factor's image, the right's
+            plan[j] = a * g.right.order[1] + b
+            out.append(plan[j])
+        else:
+            left, right = out.pop(), out.pop()
+            n = len(right)
+            plan = [left[i] for i in right] if type(g) is Prod else [
+                a * n + b for a in left for b in right
+            ]
+            plans[id(g)] = plan = tuple(plan)
+            out.append(plan if j is None else plan[j])
+    return plans[id(f)]
 
 
 def _apply(f: Formula, x: dict, plans: dict):
     """f applied to the sparse column x through its current plan."""
     plan = plans[id(f)]
     kind = type(plan)
-    if kind is _Memo:
-        plan = yield _moved(f, x, plans)
-        kind = tuple
-    if kind is tuple:
+    if kind in _PERMS:
+        plan = _moved(f, x, plans)
         return {plan[j]: v for j, v in x.items()}
     if kind is dict:  # a column, acting as a one-column operator
         s = x.get(0)
         return {} if s is None else {i: scalar_mul(a, s) for i, a in plan.items()}
-    if kind is Atom:
-        return _mat_vec(plan.matrix, x)
+    if kind is list:
+        return _mat_vec(plan, x)
     if kind is int:
         if plan + 1 >= f.order[1]:
             return _mat_vec((yield _multiplied_out(f, plans)), x)
@@ -707,7 +733,7 @@ def _dense(f: Formula, columns: list) -> Matrix:
 
 
 def _multiplied_out(f: Formula, plans: dict):
-    """f's matrix, one unit column at a time; then its Atom is f's plan.
+    """f's sparse columns, one unit column at a time, then f's plan.
 
     A product's or sum's operands still renting, with at most f's column
     count of columns, are bought first: f's unit columns then apply each
@@ -723,8 +749,8 @@ def _multiplied_out(f: Formula, plans: dict):
     columns = []
     for j in range(f.order[1]):
         columns.append((yield _apply(f, {j: one}, plans)))
-    plans[id(f)] = Atom(_dense(f, columns))
-    return plans[id(f)].matrix
+    plans[id(f)] = columns
+    return columns
 
 
 def _plan(f: Formula, cap: int, pos, plans: dict):
@@ -738,9 +764,9 @@ def _plan(f: Formula, cap: int, pos, plans: dict):
             right = yield _plan(f.right, cap, (pos, "/R"), plans)
     _checked_order(f, cap, pos)
     if kind is Atom and f.order[1] == 1:
-        plan = {i: s for i, s in enumerate(f.matrix.entries) if not s.is_zero()}
+        plan = _columns(f.matrix)[0]
     elif kind is Atom:
-        plan = f.matrix.perm_or_none() or f
+        plan = f.matrix.perm_or_none() or _columns(f.matrix)
     elif kind is not Sum and type(left) in _PERMS and type(right) in _PERMS:
         plan = _Memo()
     elif f.order[1] != 1:
@@ -791,9 +817,11 @@ def evaluate(
     plans: dict = {}
     plan = walk(_plan(f, entry_cap, "", plans))  # checks the root's order too
     if type(plan) in _PERMS:
-        perm = walk(_moved(f, range(f.order[1]), plans))
+        perm = _moved(f, range(f.order[1]), plans)
         return Matrix(f.tag, len(perm), len(perm), None, perm)
-    return _dense(f, [plan]) if type(plan) is dict else walk(_multiplied_out(f, plans))
+    if type(plan) not in (dict, list):
+        plan = walk(_multiplied_out(f, plans))
+    return _dense(f, [plan] if type(plan) is dict else plan)
 
 
 # ---------------------------------------------------------------------------

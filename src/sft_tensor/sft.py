@@ -97,8 +97,8 @@ def decide_sft(inst: SftInstance, entry_cap: int = DEFAULT_ENTRY_CAP) -> SftVerd
 def boolean_fastpath(inst: SftInstance) -> SftVerdict:
     """Decide a Boolean instance with no entry cap.
 
-    Its square atoms are permutations and it has no Sum, so the walk
-    builds nothing but support-sized columns and index memos."""
+    Its square atoms are permutations and it has no Sum: the walk keeps
+    sparse columns, index memos and permutations, and no dense operator."""
     if inst.formula.tag is not Tag.BOOLEAN:
         raise ValidationError(
             f"fast path handles Boolean instances, got {inst.formula.tag.value}"

@@ -227,7 +227,7 @@ class TestCompileFormula:
         assert time.perf_counter() - start < 1
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
-        assert err.startswith(f"error: subformula at root has order {1 << width}x1")
+        assert err.startswith(f"error: input basis state has order {1 << width}x1")
 
 
 class TestSimulate:

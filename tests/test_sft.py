@@ -1,8 +1,10 @@
 """Decision semantics of the partial-trace problem and its variants."""
 
 import random
+import time
 from collections import Counter
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from sft_tensor.formula import (
     Atom,
     Prod,
     Tensor,
+    balanced_tensor,
     check_osl,
     evaluate,
     parse_formula,
@@ -269,11 +272,18 @@ class TestIndexWalk:
         tag = data.draw(st.sampled_from(list(Tag)))
         rng = random.Random(data.draw(st.integers(0, 1 << 32)))
         g = rand_osl_formula(rng, tag, max_depth=3, max_rows=8)
-        # g # g parsed from text shares its two factors.
+        # g # g parsed from text shares its two factors.  At an index
+        # price of 1, small permutation subtrees move indices one by one
+        # instead of being composed at once.
         for f in (g, parse_formula(render_formula(Tensor(g, g)), tag)):
             k = data.draw(st.integers(1, 70))
-            value = partial_trace_outer(multiplied_out(f, 1 << 24), k)
-            assert decide_sft(SftInstance(f, k=k)).value == value
+            dense = multiplied_out(f, 1 << 24)
+            column = {i: s for i, s in enumerate(dense.entries) if not s.is_zero()}
+            for price in (1, formula_module._INDEX_PRICE):
+                with patch.object(formula_module, "_INDEX_PRICE", price):
+                    assert formula_module._sparse_value(f, 1 << 24) == column
+                    verdict = decide_sft(SftInstance(f, k=k))
+                assert verdict.value == partial_trace_outer(dense, k)
 
     def test_fastpath_at_64_wires(self):
         rng = random.Random(64)
@@ -291,7 +301,8 @@ class TestIndexWalk:
     def test_images_stay_within_support(self):
         # Input support s = 4 on a compiled Boolean circuit: each
         # occurrence of a node moves at most s indices, so a node that is
-        # not an atom holds at most s images per occurrence.
+        # not an atom holds at most s images per occurrence, or, once
+        # their price reaches its column count, is composed into a tuple.
         rng = random.Random(12)
         width = 12
         c = compile_array_to_formula(rand_array(rng, width, 8, B))
@@ -308,9 +319,30 @@ class TestIndexWalk:
             occurrences[id(node)] += 1
             if not isinstance(node, Atom):
                 stack += [node.left, node.right]
+        price = formula_module._INDEX_PRICE
         held = [
-            (len(plans[id(node)]), 4 * occurrences[id(node)])
+            (plans[id(node)], 4 * occurrences[id(node)])
             for node in distinct_nodes(c)
             if not isinstance(node, Atom)
         ]
-        assert held and all(n <= bound for n, bound in held)
+        assert any(type(plan) is formula_module._Memo for plan, _ in held)
+        for plan, asked in held:
+            assert len(plan) <= (price * asked if type(plan) is tuple else asked)
+
+    def test_bought_operator_stays_sparse(self):
+        # M = (C # X) X is 2^31 x 2, with C a 2^30-row unit column and X
+        # the NOT gate, and both products below apply it, so it is
+        # multiplied out.  Its columns are kept sparse: built dense, M
+        # would need 2^32 entries.
+        c = balanced_tensor([Atom(bool_col([1, 0]))] * 30)
+        x = Atom(builtin_gate("not", B))
+        m = Prod(Tensor(c, x), x)
+        e = Atom(bool_col([0, 1]))
+        f = Tensor(Prod(m, e), Prod(m, e))
+        # M e = C # e, so f's one nonzero row is 2^31 + 1 of 2^62.
+        hit = (1 << 62) - (1 << 31) - 1
+        start = time.perf_counter()
+        for k, accept in ((hit, True), (hit - 1, False)):
+            verdict = boolean_fastpath(SftInstance(f, k=k))
+            assert verdict == SftVerdict(make_scalar(B, int(accept)), accept)
+        assert time.perf_counter() - start < 1
