@@ -62,6 +62,7 @@ from .linalg import (
     block_diag,
     conj_transpose,
     identity,
+    integer_column,
     is_unit_column,
     stride_permutation,
 )
@@ -293,7 +294,7 @@ def _pad_binary(f: Formula, left: tuple, right: tuple) -> tuple:
 def pad_formula(f: Formula) -> PaddedFormula:
     """Pad an OSL formula so every subformula order is a power of 2; the
     value survives as the leading block of the padded value."""
-    check_osl(f).raise_unless_osl()
+    check_osl(f).raise_unless_osl(f.order)
     padded, true_rows, _ = walk(_pad(f, _default_column_pad, {}))
     return PaddedFormula(original=f, padded=padded, block_length=true_rows)
 
@@ -354,7 +355,7 @@ def pad_unit_vector_denominator(v: Matrix) -> DenominatorPad:
         raise ValidationError(f"expected a column, got {v.rows}x{v.cols}")
     if not is_unit_column(v):
         raise ValidationError("vector is not a unit column")
-    d = math.lcm(*(e.re.denominator for e in v.entries))
+    d, numerators = integer_column(v.entries)
     if d & (d - 1) == 0:
         return DenominatorPad(v, v, Fraction(1), ())
     pi = pow2_ceil(d)
@@ -368,9 +369,9 @@ def pad_unit_vector_denominator(v: Matrix) -> DenominatorPad:
     length = 1
     while length <= n + bound:
         length <<= 2
-    zero = scalar_zero(v.tag)
-    entries = [make_scalar(v.tag, Fraction(int(e.re * d), pi)) for e in v.entries]
-    entries += [zero] * (length - n - len(terms))
+    entries = [scalar_zero(v.tag)] * (length - len(terms))
+    for i, (a, _) in numerators.items():
+        entries[i] = make_scalar(v.tag, Fraction(a, pi))
     entries += [make_scalar(v.tag, Fraction(b, pi)) for b in terms]
     padded = Matrix.from_entries(v.tag, length, 1, entries)
     return DenominatorPad(v, padded, Fraction(d, pi), terms)
@@ -390,7 +391,7 @@ def pad_formula_with_denominators(f: Formula, k: int):
         raise ValidationError(
             "denominator scaling is defined over the real rational tags"
         )
-    check_osl(f).raise_unless_osl()
+    check_osl(f).raise_unless_osl(f.order)
 
     deltas = []
 

@@ -31,19 +31,19 @@ parentheses.  Every other pass over a tree, here and in the backward
 compiler, is a generator run by walk.  A subformula's position is a
 linked (parent, "/L" or "/R") pair, made into path text only when an
 error or a report names it.  Each row is matched by one regex and its
-tokens are read with finditer; scan_atom is the only atom scanner in
-the package (the gate-array format's inline matrices use it too).
+tokens are read with finditer.  scan_atom, the one atom scanner (gate
+arrays' inline matrices use it too), tells 0/1 permutations by their text.
 
 The text is a tree, but a parsed formula is a DAG: equal atom texts in
 one formula are read once and share one Atom, and equal subtrees share
 one node.  The forward compiler's output is a DAG in the same way.
 size, diameter and is_sum_free read the root.  check_osl tests each
-distinct atom once per formula's lifetime, and walks only to list the
-occurrences of offenders.  Evaluation and rendering key their work on
-node identity, so they do it once per distinct subtree (rendering copies
-a shared subtree's text at each later occurrence).  The backward
-compiler pads each distinct subtree without column atoms once; only its
-gate reading still walks every occurrence.
+distinct atom once per formula's lifetime, on integers, and walks only
+to list the occurrences of offenders.  Evaluation and rendering key
+their work on node identity, so they do it once per distinct subtree
+(rendering copies a shared subtree's text at each later occurrence).
+The backward compiler pads each distinct subtree without column atoms
+once; only its gate reading still walks every occurrence.
 
 Evaluation is post-order, left child first.  Every node's order,
 including atoms', is checked against an entry cap before any work on that
@@ -66,7 +66,7 @@ import re
 from typing import NamedTuple, Sequence
 
 from .errors import CapExceededError, ParseError, TagMismatchError, ValidationError
-from .linalg import Matrix, is_orthogonal, is_unit_column, zero_matrix
+from .linalg import Matrix, has_orthonormal_columns, is_orthogonal, zero_matrix
 from .semiring import (
     Tag,
     parse_scalar,
@@ -253,6 +253,7 @@ _WS_RUN = re.compile(r"[ \t\r\n]*")
 # A row's '[' and everything up to the next structural character.
 _ROW_BODY = re.compile(r"\[([^\[\]()]*)")
 _TOKEN = re.compile(r"[^ \t\r\n]+")
+_NOT_TOKEN = str.maketrans("", "", "[] \t\r\n")
 
 
 def _token_scalars(token: str, offset: int, tag: Tag) -> list:
@@ -274,9 +275,11 @@ def scan_atom(text: str, pos: int, tag: Tag, memo: dict) -> tuple:
     matrices both go through it.  Each row is one regex match; its tokens
     are read left to right, so a bad scalar is reported before a
     structural error later in the same row.  memo maps tokens already read
-    in this text to their scalars.
+    in this text to their scalars.  A square atom whose entries are each
+    one character, 0 or 1, is known from its text to be a permutation or not.
     """
-    rows = []
+    entries = []
+    widths = []
     at = pos + 1
     while True:
         at = _WS_RUN.match(text, at).end()
@@ -288,7 +291,7 @@ def scan_atom(text: str, pos: int, tag: Tag, memo: dict) -> tuple:
             raise ParseError(
                 "expected '[' or ']' inside atom" if ch else "unterminated atom", at
             )
-        entries = []
+        start = len(entries)
         for token in _TOKEN.finditer(text, row.start(1), row.end()):
             word = token.group()
             scalars = memo.get(word)
@@ -301,15 +304,22 @@ def scan_atom(text: str, pos: int, tag: Tag, memo: dict) -> tuple:
             raise ParseError(
                 f"unexpected '{ch}' inside row" if ch else "unterminated row", end
             )
-        if not entries:
+        if len(entries) == start:
             raise ParseError("row has no entries", at)
-        rows.append(entries)
+        widths.append(len(entries) - start)
         at = end + 1
-    if not rows:
+    if not widths:
         raise ParseError("atom has no rows", pos)
-    if any(len(r) != len(rows[0]) for r in rows):
+    n, width = len(widths), widths[0]
+    if widths.count(width) != n:
         raise ParseError("atom rows have unequal lengths", pos)
-    return Matrix.from_rows(tag, rows), at + 1
+    bits = text[pos:at].translate(_NOT_TOKEN) if n == width else ""
+    if len(bits) == n * n and not bits.strip("01"):
+        rows = [bits[i : i + n] for i in range(0, n * n, n)]
+        hits = {b.find("1"): r for r, b in enumerate(rows) if b.count("1") == 1}
+        perm = tuple(map(hits.get, range(n))) if len(hits) == n else None
+        return Matrix(tag, n, n, tuple(entries), perm, perm_known=True), at + 1
+    return Matrix(tag, n, width, tuple(entries)), at + 1
 
 
 def _shared_node(nodes: dict, kind, left: Formula, right: Formula) -> Formula:
@@ -498,20 +508,23 @@ class OslReport(NamedTuple):
     def is_osl(self) -> bool:
         return self.is_sum_free and self.inputs_ok and self.output_is_column
 
-    def raise_unless_osl(self) -> None:
-        """Raise ValidationError naming the offending paths unless OSL."""
+    def raise_unless_osl(self, order: tuple | None = None) -> None:
+        """Raise ValidationError unless OSL, naming the offending paths, or
+        else the order (if given) of a value that is not a column."""
+        paths = list(self.offending_paths)
+        if paths:
+            raise ValidationError(f"formula is not OSL (offending paths: {paths})")
         if not self.is_osl:
-            raise ValidationError(
-                f"formula is not OSL (offending paths: {list(self.offending_paths)})"
-            )
+            value = "%dx%d, not a column" % order if order else "not a column"
+            raise ValidationError(f"formula is not OSL: value is {value}")
 
 
 def _osl_atom_ok(m: Matrix) -> bool:
     if m.rows == m.cols:
         return is_orthogonal(m)
-    if m.cols == 1:
-        return is_unit_column(m)
-    return False
+    if m.tag is Tag.BOOLEAN:  # a Boolean unit column has a 1
+        return m.cols == 1 and any(s.re for s in m.entries)
+    return m.cols == 1 and has_orthonormal_columns(m)
 
 
 def check_osl(f: Formula) -> OslReport:

@@ -14,6 +14,7 @@ mathematical 1-based i of e_i^n; entry access via `at(r, c)` is 0-based.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 from .errors import ShapeError, TagMismatchError
@@ -42,6 +43,7 @@ class Matrix:
         cols: int,
         entries: tuple[Scalar, ...] | None,
         perm: tuple[int, ...] | None = None,
+        perm_known: bool = False,
     ):
         if rows < 1 or cols < 1:
             raise ShapeError(f"matrix order must be positive, got {rows}x{cols}")
@@ -50,7 +52,8 @@ class Matrix:
         self.cols = cols
         self._entries = entries
         self._perm = perm
-        self._perm_known = perm is not None
+        # perm_known with no perm: known not to be a permutation.
+        self._perm_known = perm_known or perm is not None
 
     # -- construction -----------------------------------------------------
 
@@ -122,8 +125,8 @@ class Matrix:
         """The permutation this matrix encodes, if it is one.
 
         Detection runs once and is cached; dense matrices that happen to be
-        permutation matrices (for example parsed gate atoms) benefit from
-        the same fast paths as natively compact ones.
+        permutation matrices (for example products of signed permutations)
+        benefit from the same fast paths as natively compact ones.
         """
         if not self._perm_known:
             self._perm_known = True
@@ -331,7 +334,8 @@ def is_orthogonal(m: Matrix) -> bool:
     Over the Booleans and the nonnegative rationals this is equivalent to
     being a permutation matrix; there is no cancellation available to make
     any other nonnegative matrix norm-preserving, so only the permutation
-    check runs for those tags.
+    check runs for those tags.  Otherwise m'm = I is tested on integers
+    (has_orthonormal_columns); for a square m it implies mm' = I.
     """
     if m.rows != m.cols:
         raise ShapeError("orthogonality is defined for square matrices only")
@@ -339,7 +343,34 @@ def is_orthogonal(m: Matrix) -> bool:
         return True
     if m.tag in (Tag.BOOLEAN, Tag.NONNEG_RATIONAL):
         return False
-    return mat_mul(conj_transpose(m), m) == identity(m.rows, m.tag)
+    return has_orthonormal_columns(m)
+
+
+def integer_column(entries: Sequence[Scalar]) -> tuple[int, dict]:
+    """A column over its nonzero entries' least common denominator d:
+    (d, {row: (re * d, im * d)}), both components integers."""
+    nonzero = {i: (s.re, s.im) for i, s in enumerate(entries) if s.re or s.im}
+    d = math.lcm(*(x.denominator for pair in nonzero.values() for x in pair))
+    return d, {
+        i: (a.numerator * (d // a.denominator), b.numerator * (d // b.denominator))
+        for i, (a, b) in nonzero.items()
+    }
+
+
+def has_orthonormal_columns(m: Matrix) -> bool:
+    """Whether m'm = I, on integers (integer_column): each column's squared
+    norm is d^2 and each pair's conjugate product 0, tested until one fails.
+    A column matrix passes exactly when it is a unit column."""
+    e, cols = m.entries, m.cols
+    columns = [integer_column(e[j::cols]) for j in range(cols)]
+    for j, (d, u) in enumerate(columns):
+        for _, v in columns[: j + 1]:
+            pairs = [(u[i], v[i]) for i in u.keys() & v.keys()]
+            re = sum(a * c + b * g for (a, b), (c, g) in pairs)
+            im = sum(b * c - a * g for (a, b), (c, g) in pairs)
+            if im or re != (d * d if v is u else 0):
+                return False
+    return True
 
 
 def is_unit_column(v: Matrix) -> bool:

@@ -59,7 +59,7 @@ class SftInstance:
             raise ValidationError(
                 f"variant must be one of {'/'.join(VARIANTS)}, got {self.variant!r}"
             )
-        check_osl(self.formula).raise_unless_osl()
+        check_osl(self.formula).raise_unless_osl(self.formula.order)
 
 
 @dataclass(frozen=True)

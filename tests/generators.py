@@ -7,7 +7,15 @@ from fractions import Fraction
 from sft_tensor.circuit import BUILTIN_GATE_NAMES, Gate, GateArray, builtin_gate
 from sft_tensor.errors import CapExceededError
 from sft_tensor.formula import Atom, Formula, Prod, Sum, Tensor, walk
-from sft_tensor.linalg import Matrix, basis_vector, kronecker, mat_add, mat_mul
+from sft_tensor.linalg import (
+    Matrix,
+    basis_vector,
+    conj_transpose,
+    identity,
+    kronecker,
+    mat_add,
+    mat_mul,
+)
 from sft_tensor.semiring import (
     Tag,
     make_scalar,
@@ -195,6 +203,13 @@ def unshared(f: Formula) -> Formula:
         return type(node)(left, right)
 
     return walk(copy(f))
+
+
+def gram_is_identity(m: Matrix) -> bool:
+    """Whether m'm = I, with m'm multiplied out densely by mat_mul: the
+    reference for is_orthogonal on squares and the OSL test on columns.
+    Over the Booleans a column's v'v is the OR of its entries."""
+    return mat_mul(conj_transpose(m), m) == identity(m.cols, m.tag)
 
 
 def multiplied_out(f: Formula, cap: int) -> Matrix:

@@ -196,6 +196,17 @@ class TestCompileFormula:
         assert main(["compile-formula", path]) == 3
 
     @pytest.mark.parametrize(
+        "verb", [["sft", "--k", "1"], ["compile-formula"]], ids=lambda v: v[0]
+    )
+    def test_non_column_names_the_order(self, tmp_path, capsys, verb):
+        path = write(tmp_path, "wide.formula", "([[1 0][0 1]]#[[1][0]])\n")
+        assert main(verb + [path]) == 3
+        assert capsys.readouterr() == (
+            "",
+            "error: formula is not OSL: value is 4x2, not a column\n",
+        )
+
+    @pytest.mark.parametrize(
         "verb, path, rows",
         [
             pytest.param(["compile-formula"], "root", 1 << 30, id="compile-formula"),

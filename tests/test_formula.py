@@ -29,6 +29,7 @@ from sft_tensor.formula import (
     is_sum_free,
     parse_formula,
     render_formula,
+    scan_atom,
     size,
     trivial_formula,
 )
@@ -46,6 +47,7 @@ from sft_tensor.circuit import (
     StateVector,
     _run_levels,
     builtin_gate,
+    parse_gate_array,
     simulate,
 )
 from sft_tensor.sft import SftInstance, boolean_fastpath, decide_sft
@@ -60,7 +62,7 @@ from sft_tensor.linalg import (
     mat_mul,
     zero_matrix,
 )
-from sft_tensor.semiring import Tag, make_scalar
+from sft_tensor.semiring import Scalar, Tag, make_scalar, parse_scalar
 
 Q = Tag.RATIONAL
 B = Tag.BOOLEAN
@@ -1168,3 +1170,113 @@ def rand_osl(data, max_depth):
         p = data.draw(st.permutations(range(n)))
         return Prod(Atom(Matrix.from_perm(Q, p)), col)
     return Tensor(rand_osl(data, max_depth - 1), rand_osl(data, max_depth - 1))
+
+
+def _count_is_zero(mp) -> list:
+    """Record every Scalar.is_zero call made while mp is in force."""
+    calls = []
+    real = Scalar.is_zero
+    mp.setattr(Scalar, "is_zero", lambda s: calls.append(s) or real(s))
+    return calls
+
+
+_WS = st.sampled_from(["", " ", "\t", "\n", "\r\n", "  "])
+_SEP = st.sampled_from([" ", "\t", "\n", " \r\n "])
+# Spellings of 0 and 1 for each tag, the plain ones weighted up; "0i" is
+# a Gaussian token only.
+_SPELLINGS = {
+    tag: {
+        "0": ["0"] * 5 + ["-0", "00", "0/3"] + ["0i"] * (tag is Tag.GAUSSIAN_RATIONAL),
+        "1": ["1"] * 5 + ["01", "1/1", "2/2"],
+    }
+    for tag in Tag
+}
+
+
+class TestScanTimePermutations:
+    """scan_atom knows from the text whether a square atom of one-character
+    0/1 entries is a permutation; any other token leaves that to a value
+    scan.  Either way the matrix is the one its scalars make."""
+
+    @given(st.sampled_from(list(Tag)), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_value_scan(self, tag, data):
+        n = data.draw(st.integers(1, 4))
+        cols = data.draw(st.sampled_from([n, n, n, 1, n + 1]))
+        if cols == n and data.draw(st.booleans()):
+            perm = data.draw(st.permutations(range(n)))
+            grid = [["1" if perm[c] == r else "0" for c in range(n)] for r in range(n)]
+            if data.draw(st.booleans()):  # a near miss
+                index = st.integers(0, n - 1)
+                r, c = data.draw(st.tuples(index, index))
+                grid[r][c] = "01"[grid[r][c] == "0"]
+        else:
+            row = st.lists(st.sampled_from("01"), min_size=cols, max_size=cols)
+            grid = data.draw(st.lists(row, min_size=n, max_size=n))
+        rows = []
+        plain = True
+        for digits in grid:
+            if tag is B:  # digit runs: cut the row anywhere
+                points = st.integers(1, cols - 1) if cols > 1 else st.nothing()
+                cuts = sorted(data.draw(st.sets(points)))
+                ends = zip([0] + cuts, cuts + [cols])
+                words = ["".join(digits[a:b]) for a, b in ends]
+            else:
+                words = [data.draw(st.sampled_from(_SPELLINGS[tag][d])) for d in digits]
+                plain = plain and all(w in ("0", "1") for w in words)
+            body = "".join(w + data.draw(_SEP) for w in words[:-1]) + words[-1]
+            rows.append("[" + data.draw(_WS) + body + data.draw(_WS) + "]")
+        text = "[" + data.draw(_WS) + "".join(r + data.draw(_WS) for r in rows) + "]"
+        scalars = [[parse_scalar(d, tag) for d in digits] for digits in grid]
+        reference = Matrix.from_rows(tag, scalars)
+
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _count_is_zero(mp)
+            matrix, end = scan_atom(text, 0, tag, {})
+            perm = matrix.perm_or_none()
+        assert end == len(text)
+        assert (matrix.rows, matrix.cols) == (reference.rows, reference.cols)
+        assert matrix.entries == reference.entries
+        assert perm == reference.perm_or_none()  # a value scan: not known yet
+        if plain and cols == n:
+            assert calls == []
+
+    def test_gate_array_inline_matrix(self):
+        text = (
+            "width 2\nlevel\n"
+            "gate [ [1 0 0 0] [0 1 0 0]\t[0 0 0 1] [0 0 1 0] ] 1 2\n"
+            "level\ngate [[1 0][0 01]] 2\n"
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _count_is_zero(mp)
+            array, _ = parse_gate_array(text, Q)
+            assert array.levels[0][0].matrix.perm_or_none() == (0, 1, 3, 2)
+        assert calls == []
+        # "01" is 1, but not spelt 1: the value scan finds the identity.
+        assert array.levels[1][0].matrix.perm_or_none() == (0, 1)
+
+
+class TestOslOnIntegers:
+    def test_compiled_boolean_array_scans_no_entry(self, monkeypatch):
+        rng = random.Random(23)
+        array = rand_array(rng, 8, 6, B)
+        bits = "".join(rng.choice("01") for _ in range(8))
+        f = Prod(compile_array_to_formula(array), input_vector_formula(bits, B))
+        g = parse_formula(render_formula(f), B)
+        atoms = [node for node in distinct_nodes(g) if isinstance(node, Atom)]
+        assert any(a.order[0] == a.order[1] > 1 for a in atoms)
+        calls = _count_is_zero(monkeypatch)
+        assert check_osl(g).is_osl
+        # Each square atom is a permutation known from its text, and a
+        # Boolean column passes on its 1s: no entry is tested for zero.
+        assert calls == []
+
+    @pytest.mark.parametrize("tag", [Q, Tag.GAUSSIAN_RATIONAL])
+    def test_non_column_names_the_order(self, tag):
+        f = parse_formula("([[1 0][0 1]]#[[1][0]])", tag)
+        with pytest.raises(
+            ValidationError, match=r"^formula is not OSL: value is 4x2, not a column$"
+        ):
+            check_osl(f).raise_unless_osl(f.order)
+        with pytest.raises(ValidationError, match=r"value is not a column$"):
+            check_osl(f).raise_unless_osl()

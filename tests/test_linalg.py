@@ -7,13 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from generators import _orthogonal_atom, _unit_column_atom, gram_is_identity
+
 from sft_tensor.errors import ShapeError, TagMismatchError
+from sft_tensor.formula import _osl_atom_ok
 from sft_tensor.linalg import (
     Matrix,
     basis_vector,
     block_diag,
     conj_transpose,
     identity,
+    integer_column,
     is_orthogonal,
     is_unit_column,
     kronecker,
@@ -23,7 +27,7 @@ from sft_tensor.linalg import (
     stride_permutation,
     zero_matrix,
 )
-from sft_tensor.semiring import Tag, make_scalar, scalar_one, scalar_zero
+from sft_tensor.semiring import Tag, make_scalar, scalar_mul, scalar_one, scalar_zero
 
 Q = Tag.RATIONAL
 B = Tag.BOOLEAN
@@ -338,3 +342,124 @@ class TestPartialTrace:
         assert got.tag is (Q if tag is Tag.GAUSSIAN_RATIONAL else tag)
         assert got.re == (min(expected, 1) if tag is B else expected)
         assert got.im == 0
+
+
+# Entries for random and perturbed atoms: (re, im) pairs, per tag.
+_POOL = {
+    B: [(0, 0), (1, 0)],
+    Tag.NONNEG_RATIONAL: [(0, 0), (1, 0), (2, 0), ("1/2", 0), ("3/5", 0), ("4/5", 0)],
+}
+_POOL[Q] = _POOL[Tag.NONNEG_RATIONAL] + [(-1, 0), ("-3/5", 0), ("-4/5", 0)]
+_POOL[Tag.GAUSSIAN_RATIONAL] = _POOL[Q] + [
+    (0, 1),
+    (0, -1),
+    (0, "4/5"),
+    ("3/5", "4/5"),
+    ("3/5", "-4/5"),
+]
+
+
+def _pool(tag):
+    return [make_scalar(tag, Fraction(a), Fraction(b)) for a, b in _POOL[tag]]
+
+
+def _candidate(tag, rng, kind, n) -> Matrix:
+    """A square or column atom of order n: orthogonal or a unit column,
+    or a near miss of one, or random entries."""
+    pool = _pool(tag)
+    if kind == "random":
+        cols = rng.choice([1, n])
+        return Matrix.from_entries(
+            tag, n, cols, [rng.choice(pool) for _ in range(n * cols)]
+        )
+    if rng.random() < 0.3:
+        m = _unit_column_atom(rng, n, tag, True)
+    else:
+        # Signed permutations times Pythagorean plane rotations (in the
+        # Gaussian tag also with sin = b/c i), sometimes two of them.
+        m = _orthogonal_atom(rng, n, tag, True)
+        if rng.random() < 0.3:
+            m = mat_mul(m, _orthogonal_atom(rng, n, tag, True))
+    entries = list(m.entries)
+    if kind == "perturbed":
+        k = rng.randrange(len(entries))
+        entries[k] = rng.choice([s for s in pool if s != entries[k]])
+    elif kind == "scaled" and tag is not B:  # orthogonal, not normalised
+        two = make_scalar(tag, 2)
+        entries = [scalar_mul(two, s) for s in entries]
+    elif kind == "zero column":
+        j = rng.randrange(m.cols)
+        entries[j :: m.cols] = [scalar_zero(tag)] * m.rows
+    return Matrix.from_entries(tag, m.rows, m.cols, entries)
+
+
+class TestIntegerGram:
+    """is_orthogonal and the OSL atom test, both on integers, agree with
+    m'm = I multiplied out densely."""
+
+    @given(
+        st.sampled_from(list(Tag)),
+        st.sampled_from(["orthogonal", "perturbed", "scaled", "zero column", "random"]),
+        st.integers(1, 5),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_dense_gram(self, tag, kind, n, rng):
+        m = _candidate(tag, rng, kind, n)
+        expected = gram_is_identity(m)
+        assert _osl_atom_ok(m) == expected
+        if m.rows == m.cols:
+            assert is_orthogonal(m) == expected
+
+    @pytest.mark.parametrize(
+        "tag, rows, expected",
+        [
+            (Q, [[1, 1], [1, -1]], False),  # orthogonal, norm 2
+            (Q, [["1/2", "1/2"], ["1/2", "-1/2"]], False),
+            (Q, [["3/5", "-4/5"], ["4/5", "3/5"]], True),
+            (Q, [["3/5", "4/5"], ["4/5", "3/5"]], False),
+            (Q, [[0, 1], [0, 0]], False),  # a zero column
+            (Q, [[-1]], True),
+            (Q, [[2]], False),
+            (Q, [[0]], False),
+            (Q, [["3/5"], [0], ["-4/5"]], True),
+            (Q, [["3/5"], ["3/5"], ["4/5"]], False),
+            (Q, [[0], [0]], False),
+            (Tag.NONNEG_RATIONAL, [["3/5", "4/5"], ["4/5", "3/5"]], False),
+            (Tag.NONNEG_RATIONAL, [["3/5"], ["4/5"]], True),
+            (B, [[1, 1], [0, 1]], False),  # overlapping supports
+            (B, [[1], [1], [0]], True),
+            (B, [[0], [0]], False),
+        ],
+    )
+    def test_table(self, tag, rows, expected):
+        m = mx(rows, tag)
+        assert gram_is_identity(m) is expected
+        assert _osl_atom_ok(m) is expected
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            ([[("3/5", 0), (0, "4/5")], [(0, "4/5"), ("3/5", 0)]], True),
+            ([[("3/5", 0), (0, "4/5")], [(0, "-4/5"), ("3/5", 0)]], False),
+            ([[(1, 0), (1, 0)], [(0, 1), (0, -1)]], False),  # norm 2
+            ([[(0, 1)]], True),
+            ([[("3/5", "4/5")]], True),
+            ([[("1/2", "1/2")], [("1/2", "-1/2")]], True),
+            ([[("1/2", "1/2")], [("1/2", "1/2")], [(0, "1/2")]], False),
+        ],
+    )
+    def test_gaussian_table(self, rows, expected):
+        m = gmx(rows)
+        assert gram_is_identity(m) is expected
+        assert _osl_atom_ok(m) is expected
+
+    def test_integer_column(self):
+        tag = Tag.GAUSSIAN_RATIONAL
+        column = [
+            make_scalar(tag, Fraction(1, 2), Fraction(1, 3)),
+            scalar_zero(tag),
+            make_scalar(tag, 0, Fraction(-3, 4)),
+        ]
+        assert integer_column(column) == (12, {0: (6, 4), 2: (0, -9)})
+        assert integer_column([scalar_zero(Q)] * 3) == (1, {})
